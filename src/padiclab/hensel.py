@@ -12,7 +12,8 @@ reproduce the same digits — the test suite compares the two.
 
 Polynomials are given as integer coefficient sequences, index i = the
 coefficient of x**i (a ``RationalPolynomial`` with integer entries is also
-accepted).
+accepted).  Evaluation mod p**k, the derivative and the base-p digits of a
+residue come from the shared helpers in ``padic_core``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ from .padic_core import (
     RationalPolynomial,
     Valuation,
     _digits,
+    _int_valuation,
+    _poly_derivative,
+    _poly_eval,
     require_prime,
 )
 
@@ -41,17 +45,6 @@ def _int_coeffs(f) -> tuple[int, ...]:
     while coeffs and coeffs[-1] == 0:
         coeffs = coeffs[:-1]
     return coeffs
-
-
-def _eval_mod(coeffs: tuple[int, ...], x: int, m: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % m
-    return acc
-
-
-def _derivative(coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(i * c for i, c in enumerate(coeffs))[1:]
 
 
 @dataclass(frozen=True)
@@ -85,11 +78,8 @@ class LiftTrace:
         x = self.residues[-1] % self.p**r
         if x == 0:
             return PadicNumber.zero(self.p, r)
-        v = 0
-        while x % self.p == 0:
-            x //= self.p
-            v += 1
-        return PadicNumber(self.p, Valuation(v), _digits(x, self.p, r - v))
+        v = _int_valuation(x, self.p)
+        return PadicNumber(self.p, Valuation(v), _digits(x // self.p**v, self.p, r - v))
 
     def render_sum(self) -> str:
         """Textbook-style sum of digit terms, e.g. ``3 + 7·1 + 7²·2``."""
@@ -108,7 +98,7 @@ def roots_mod_p(f, p: int) -> list[int]:
     coeffs = _int_coeffs(f)
     if all(c % p == 0 for c in coeffs):
         raise DomainError(f"f vanishes identically mod {p}; every residue is a root")
-    return [x for x in range(p) if _eval_mod(coeffs, x, p) == 0]
+    return [x for x in range(p) if _poly_eval(coeffs, x, p) == 0]
 
 
 def hensel_lift(f, x0: int, p: int, k: int, method: str = "digit") -> LiftTrace:
@@ -122,10 +112,10 @@ def hensel_lift(f, x0: int, p: int, k: int, method: str = "digit") -> LiftTrace:
         raise DomainError("target exponent must be >= 0")
     coeffs = _int_coeffs(f)
     x0 %= p
-    if _eval_mod(coeffs, x0, p) != 0:
+    if _poly_eval(coeffs, x0, p) != 0:
         raise NotARootError(f"{x0} is not a root of f mod {p}")
-    deriv = _derivative(coeffs)
-    d0 = _eval_mod(deriv, x0, p)
+    deriv = _poly_derivative(coeffs)
+    d0 = _poly_eval(deriv, x0, p)
     if d0 == 0:
         raise SingularRootError(
             f"f'({x0}) == 0 mod {p}: the simple-root scheme does not apply"
@@ -136,12 +126,8 @@ def hensel_lift(f, x0: int, p: int, k: int, method: str = "digit") -> LiftTrace:
         residues = _lift_newton(coeffs, x0, p, k)
     else:
         raise DomainError(f"unknown lifting method {method!r}")
-    digits = []
-    prev = 0
-    for i, x in enumerate(residues):
-        digits.append((x - prev) // p**i)
-        prev = x
-    return LiftTrace(p, coeffs, tuple(digits), tuple(residues))
+    # residues[i] is residues[-1] mod p**(i+1), so the digits are its base-p digits
+    return LiftTrace(p, coeffs, _digits(residues[-1], p, k + 1), tuple(residues))
 
 
 def _lift_linear(coeffs, x0: int, p: int, k: int, inv_d0: int) -> list[int]:
@@ -149,7 +135,7 @@ def _lift_linear(coeffs, x0: int, p: int, k: int, inv_d0: int) -> list[int]:
     x = x0
     for i in range(1, k + 1):
         m = p ** (i + 1)
-        fx = _eval_mod(coeffs, x, m)
+        fx = _poly_eval(coeffs, x, m)
         b = (-(fx // p**i) * inv_d0) % p
         x = x + b * p**i
         residues.append(x)
@@ -159,13 +145,13 @@ def _lift_linear(coeffs, x0: int, p: int, k: int, inv_d0: int) -> list[int]:
 def _lift_newton(coeffs, x0: int, p: int, k: int) -> list[int]:
     # precision doubling: x <- x - f(x)/f'(x) mod p**(2e), then read the
     # intermediate residues back off the final one
-    deriv = _derivative(coeffs)
+    deriv = _poly_derivative(coeffs)
     x, e = x0, 1
     while e < k + 1:
         e = min(2 * e, k + 1)
         m = p**e
-        fx = _eval_mod(coeffs, x, m)
-        dx = _eval_mod(deriv, x, m)
+        fx = _poly_eval(coeffs, x, m)
+        dx = _poly_eval(deriv, x, m)
         x = (x - fx * pow(dx, -1, m)) % m
     return [x % p ** (i + 1) for i in range(k + 1)]
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DecodeFailureError, DomainError, NonEncodableError, ZeroInversionError
-from .padic_core import require_prime
+from .padic_core import _digits, require_prime
 
 
 @dataclass(frozen=True)
@@ -38,12 +38,7 @@ class HenselCode:
     @property
     def digits(self) -> tuple[int, ...]:
         """Exactly r base-p digits, least significant first, zeros kept."""
-        out = []
-        v = self.value
-        for _ in range(self.r):
-            v, d = divmod(v, self.p)
-            out.append(d)
-        return tuple(out)
+        return _digits(self.value, self.p, self.r)
 
     def _check_compatible(self, other: "HenselCode") -> None:
         if (self.p, self.r) != (other.p, other.r):

@@ -14,6 +14,13 @@ precision".
 
 Valuations and norms of exact rationals are computed exactly: norms are
 ``Fraction`` powers of ``1/p``, never floats.
+
+This module is also the package's exact-arithmetic core.  ``is_prime`` is
+its only primality test; ``_digits`` and ``_poly_eval`` are its only base-p
+digit encoder and decoder; and the ``_poly_*`` coefficient-tuple helpers
+(add, mul, Horner evaluation, derivative, rendering) serve
+``RationalPolynomial`` here, ``FqPolynomial`` in ``valuations_product`` and
+the lifting in ``hensel``.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, total_ordering
+from itertools import zip_longest
 
 from .errors import (
     DomainError,
@@ -31,10 +39,6 @@ from .errors import (
     ResourceLimitError,
     ZeroInversionError,
 )
-
-#: Alias for the exact rational type used throughout the package.
-Rational = Fraction
-
 
 class _Archimedean:
     """Marker for the archimedean place of the rationals."""
@@ -54,26 +58,47 @@ class _Archimedean:
 ARCHIMEDEAN = _Archimedean()
 
 
-@lru_cache(maxsize=None)
+# Miller-Rabin with the first twelve primes as bases has no strong
+# pseudoprime below 318665857834031151167461 (~3.18e23; Sorenson & Webster,
+# "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+@lru_cache(maxsize=4096)
 def is_prime(p: int) -> bool:
-    """Deterministic trial-division primality test for p < 2**32."""
+    """Miller-Rabin on bases 2..37: exact for p < 318665857834031151167461.
+
+    That bound (~3.18e23) is far past ``valuations_product.FACTOR_LIMIT``;
+    above it a True answer means "strong probable prime to twelve bases".
+    """
     if not isinstance(p, int):
         raise NotPrimeError(f"prime expected, got {p!r}")
-    if p >= 1 << 32:
-        raise ResourceLimitError(f"primality gate is limited to p < 2**32, got {p}")
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
 def require_prime(p: int) -> int:
+    """p itself, if it is a prime below the desk-scale gate 2**32."""
+    if isinstance(p, int) and p >= 1 << 32:
+        raise ResourceLimitError(f"primality gate is limited to p < 2**32, got {p}")
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     return p
@@ -173,13 +198,67 @@ def norm(a, p) -> Fraction:
     return Fraction(1, p) ** n
 
 
+# -- base-p digits and dense polynomials as coefficient tuples -------------
+#
+# Index i holds the digit of p**i, or the coefficient of x**i.
+
+
 def _digits(value: int, p: int, r: int) -> tuple[int, ...]:
-    # value reduced mod p**r, little-endian base-p digits, length exactly r
+    # value reduced mod p**r, little-endian base-p digits, length exactly r;
+    # _poly_eval(digits, p) is the inverse
     out = []
     for _ in range(r):
         value, d = divmod(value, p)
         out.append(d)
     return tuple(out)
+
+
+def _poly_add(a: tuple, b: tuple) -> tuple:
+    return tuple(x + y for x, y in zip_longest(a, b, fillvalue=0))
+
+
+def _poly_mul(a: tuple, b: tuple) -> tuple:
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def _poly_eval(coeffs: tuple, x, modulus: int | None = None):
+    """Horner evaluation at x, reduced mod ``modulus`` at every step if given."""
+    acc = 0
+    if modulus is None:
+        for c in reversed(coeffs):
+            acc = acc * x + c
+    else:
+        for c in reversed(coeffs):
+            acc = (acc * x + c) % modulus
+    return acc
+
+
+def _poly_derivative(coeffs: tuple) -> tuple:
+    return tuple(i * c for i, c in enumerate(coeffs))[1:]
+
+
+def _poly_str(coeffs: tuple, sep: str) -> str:
+    """Nonzero terms from the top degree down, joined by ``sep``.
+
+    Unit coefficients are elided (``x``, ``-x^2``) and ``+ -`` folds to
+    ``- ``; the zero polynomial renders as ``0``.
+    """
+    parts = []
+    for i in reversed(range(len(coeffs))):
+        c = coeffs[i]
+        if c == 0:
+            continue
+        power = "" if i == 0 else "x" if i == 1 else f"x^{i}"
+        coef = {1: "", -1: "-"}.get(c, str(c)) if power else str(c)
+        parts.append(coef + power)
+    return sep.join(parts).replace("+ -", "- ") if parts else "0"
 
 
 @dataclass(frozen=True)
@@ -248,14 +327,7 @@ class PadicNumber:
     @property
     def unit_value(self) -> int:
         """The unit part as an integer in [0, p**r)."""
-        return sum(d * self.p**i for i, d in enumerate(self.unit))
-
-    @property
-    def tracked_modulus(self) -> int:
-        """The value is known modulo this power of p (nonzero numbers only)."""
-        if self.is_zero:
-            raise DomainError("zero is exact; it has no finite tracked modulus")
-        return self.p ** (int(self.v) + self.r)
+        return _poly_eval(self.unit, self.p)
 
     def truncate(self, r: int) -> "PadicNumber":
         """Forget digits beyond the first ``r``."""
@@ -399,8 +471,7 @@ def parse_expansion_string(s: str, p: int, r: int) -> PadicNumber:
         if d >= p:
             raise ExpansionParseError(f"digit {d} is not a base-{p} digit")
         digits.append(d)
-    value = sum(d * p**i for i, d in enumerate(digits))
-    return PadicNumber.from_integer(value, p, r)
+    return PadicNumber.from_integer(_poly_eval(digits, p), p, r)
 
 
 # -- polynomials over the rationals and the Gauss norm ----------------------
@@ -436,18 +507,10 @@ class RationalPolynomial:
         return len(self.coefficients) - 1
 
     def __call__(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+        return Fraction(0) + _poly_eval(self.coefficients, x)
 
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        return RationalPolynomial.of(
-            *(c + (b[i] if i < len(b) else 0) for i, c in enumerate(a))
-        )
+        return RationalPolynomial.of(*_poly_add(self.coefficients, other.coefficients))
 
     def __neg__(self) -> "RationalPolynomial":
         return RationalPolynomial(tuple(-c for c in self.coefficients))
@@ -456,35 +519,13 @@ class RationalPolynomial:
         return self + (-other)
 
     def __mul__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        if self.is_zero or other.is_zero:
-            return RationalPolynomial(())
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return RationalPolynomial.of(*out)
+        return RationalPolynomial.of(*_poly_mul(self.coefficients, other.coefficients))
 
     def derivative(self) -> "RationalPolynomial":
-        return RationalPolynomial.of(
-            *(i * c for i, c in enumerate(self.coefficients) if i >= 1)
-        )
+        return RationalPolynomial.of(*_poly_derivative(self.coefficients))
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i in reversed(range(len(self.coefficients))):
-            c = self.coefficients[i]
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}x" if abs(c) != 1 else ("x" if c > 0 else "-x"))
-            else:
-                parts.append(f"{c}x^{i}" if abs(c) != 1 else (f"x^{i}" if c > 0 else f"-x^{i}"))
-        s = " + ".join(parts).replace("+ -", "- ")
-        return s
+        return _poly_str(self.coefficients, " + ")
 
 
 def gauss_norm(f: RationalPolynomial, p: int) -> Fraction:

@@ -257,12 +257,6 @@ class PauliElement:
         return prefix + word
 
 
-SIGMA_0 = PauliElement.single("I")
-SIGMA_X = PauliElement.single("X")
-SIGMA_Y = PauliElement.single("Y")
-SIGMA_Z = PauliElement.single("Z")
-
-
 def pauli_mul(x: PauliElement, y: PauliElement) -> PauliElement:
     """Symplectic product; agrees entrywise with the matrix product."""
     if x.n != y.n:
@@ -490,18 +484,6 @@ class FiniteLattice:
 
     def join(self, a, b):
         return self._join[(a, b)]
-
-    @property
-    def bottom(self):
-        return next(
-            e for e in self._elements if all(self.leq(e, x) for x in self._elements)
-        )
-
-    @property
-    def top(self):
-        return next(
-            e for e in self._elements if all(self.leq(x, e) for x in self._elements)
-        )
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,11 @@ product telescope to 1.
 
 Everything is computed as exact ``Fraction`` values in a single pass; no
 logarithms.  Integer factorization is exact and self-verifying (each factor
-passes a deterministic primality test and the product reconstructs the
-input); polynomial factorization is trial division against monic
-irreducibles enumerated by an ascending-degree sieve.
+passes ``padic_core.is_prime``, the package's one primality test, and the
+product reconstructs the input); polynomial factorization is trial division
+against monic irreducibles enumerated by an ascending-degree sieve.
+``FqPolynomial`` arithmetic, evaluation and rendering, and the base-p
+digits of its coefficient vectors, use the shared helpers in ``padic_core``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, NotPrimeError, ResourceLimitError
-from .padic_core import Valuation, require_prime
+from .padic_core import (
+    Valuation,
+    _digits,
+    _poly_add,
+    _poly_eval,
+    _poly_mul,
+    _poly_str,
+    is_prime,
+    require_prime,
+)
 
 #: Integers beyond this are rejected rather than silently taking minutes.
 FACTOR_LIMIT = 10**18
@@ -43,35 +54,6 @@ def _sieve(limit: int) -> list[int]:
 
 
 _SMALL_PRIMES = _sieve(10**4)
-
-# Deterministic Miller-Rabin: this base set is exact below 3.3e24, far
-# beyond FACTOR_LIMIT.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime_big(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
 
 def _brent_rho(n: int) -> int:
     """A nontrivial factor of an odd composite n (Brent's cycle method)."""
@@ -115,7 +97,7 @@ class PrimeFactorization:
         for p, e in self.factors:
             if e <= 0:
                 raise DomainError(f"exponent of {p} must be positive")
-            if not _is_prime_big(p):
+            if not is_prime(p):
                 raise DomainError(f"factor {p} is not prime")
 
     def as_dict(self) -> dict[int, int]:
@@ -153,7 +135,7 @@ def factor(n: int) -> PrimeFactorization:
         stack = [m]
         while stack:
             v = stack.pop()
-            if _is_prime_big(v):
+            if is_prime(v):
                 counts[v] = counts.get(v, 0) + 1
                 continue
             d = _brent_rho(v)
@@ -181,9 +163,8 @@ class Place:
         if self.kind not in ("finite", "archimedean", "finite_poly", "degree_infinity"):
             raise DomainError(f"unknown place kind {self.kind!r}")
         if self.kind == "finite":
-            # factor() can emit primes far past the desk-scale trial-division
-            # gate; the 12-base Miller-Rabin here is exact below 3.3e24
-            if not isinstance(self.prime, int) or not _is_prime_big(self.prime):
+            # factor() can emit primes past require_prime's desk-scale gate
+            if not isinstance(self.prime, int) or not is_prime(self.prime):
                 raise NotPrimeError(f"{self.prime} is not prime")
         if self.kind == "finite_poly":
             if not (self.poly.is_monic and _is_irreducible(self.poly)):
@@ -300,12 +281,7 @@ class FqPolynomial:
 
     def __add__(self, other: "FqPolynomial") -> "FqPolynomial":
         self._same_field(other)
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        return FqPolynomial.of(
-            self.p, *(c + (b[i] if i < len(b) else 0) for i, c in enumerate(a))
-        )
+        return FqPolynomial.of(self.p, *_poly_add(self.coefficients, other.coefficients))
 
     def __neg__(self) -> "FqPolynomial":
         return FqPolynomial(self.p, tuple((-c) % self.p for c in self.coefficients))
@@ -315,14 +291,7 @@ class FqPolynomial:
 
     def __mul__(self, other: "FqPolynomial") -> "FqPolynomial":
         self._same_field(other)
-        if self.is_zero or other.is_zero:
-            return FqPolynomial(self.p, ())
-        out = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if a:
-                for j, b in enumerate(other.coefficients):
-                    out[i + j] += a * b
-        return FqPolynomial.of(self.p, *out)
+        return FqPolynomial.of(self.p, *_poly_mul(self.coefficients, other.coefficients))
 
     def __divmod__(self, other: "FqPolynomial") -> tuple["FqPolynomial", "FqPolynomial"]:
         self._same_field(other)
@@ -359,33 +328,17 @@ class FqPolynomial:
         return a.monic()
 
     def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = (acc * x + c) % self.p
-        return acc
+        return _poly_eval(self.coefficients, x, self.p)
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i in reversed(range(len(self.coefficients))):
-            c = self.coefficients[i]
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append("x" if c == 1 else f"{c}x")
-            else:
-                parts.append(f"x^{i}" if c == 1 else f"{c}x^{i}")
-        return "+".join(parts)
+        return _poly_str(self.coefficients, "+")
 
     def _counter(self) -> int:
         # integer whose base-p digits are the coefficients; enumeration order
-        return sum(c * self.p**i for i, c in enumerate(self.coefficients))
+        return _poly_eval(self.coefficients, self.p)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def enumerate_irreducibles(p: int, max_degree: int) -> tuple[FqPolynomial, ...]:
     """All monic irreducibles over F_p of degree <= max_degree.
 
@@ -404,12 +357,7 @@ def enumerate_irreducibles(p: int, max_degree: int) -> tuple[FqPolynomial, ...]:
     for d in range(1, max_degree + 1):
         small = [g for g in irr if g.degree <= d // 2]
         for counter in range(p**d):
-            low = []
-            c = counter
-            for _ in range(d):
-                c, digit = divmod(c, p)
-                low.append(digit)
-            f = FqPolynomial(p, (*low, 1))
+            f = FqPolynomial(p, (*_digits(counter, p, d), 1))
             if all(not (f % g).is_zero for g in small):
                 irr.append(f)
     return tuple(irr)

@@ -7,6 +7,9 @@ recomputed inline here rather than trusted from the library under test.
 
 from __future__ import annotations
 
+import io
+import math
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -21,18 +24,23 @@ from padiclab import (
     ExpansionFormatError,
     ExpansionParseError,
     MixedPrimesError,
+    FqPolynomial,
     NotPrimeError,
     PadicNumber,
     RationalPolynomial,
+    ResourceLimitError,
     Valuation,
     ZeroInversionError,
     check_seminorm_axioms,
     gauss_norm,
+    is_prime,
     norm,
     nu,
     parse_expansion_string,
     to_expansion_string,
 )
+from padiclab.cli import main
+from padiclab.padic_core import _digits, _poly_eval, require_prime
 
 PRIMES = [2, 3, 5, 7, 11]
 
@@ -421,3 +429,76 @@ def test_seminorm_report_on_plain_rationals():
 def test_axiom_result_is_plain_record():
     r = AxiomResult(axiom="triangle", passed=True, witness=None)
     assert r.passed and r.witness is None
+
+
+# -- the shared primality test -----------------------------------------------
+
+
+def test_is_prime_agrees_with_sieve_below_1e5():
+    limit = 10**5
+    flags = bytearray([1]) * limit
+    flags[0:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(limit) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytes(len(flags[i * i :: i]))
+    assert [n for n in range(limit) if is_prime(n)] == [
+        n for n in range(limit) if flags[n]
+    ]
+
+
+# strong pseudoprimes to bases 2..7 and to bases 2..31 respectively
+@pytest.mark.parametrize("n", [3215031751, 3825123056546413051])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("n", [4294967291, 2**61 - 1, 999_999_937])
+def test_is_prime_accepts_large_primes(n):
+    assert is_prime(n)
+
+
+# the smallest prime above 2**32, and the composite Fermat number F5
+@pytest.mark.parametrize("n", [4294967311, 2**32 + 1])
+def test_require_prime_gate_refuses_at_2_32(n):
+    with pytest.raises(ResourceLimitError):
+        require_prime(n)
+
+
+def test_cli_primality_gate_exits_3():
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["valuation", "3", "--p", "4294967311"])
+    assert code == 3
+    assert out.getvalue() == ""
+
+
+# -- the shared digit codec and polynomial kernels -----------------------------
+
+
+@given(
+    n=st.integers(-(10**30), 10**30),
+    p=st.sampled_from([2, 3, 5, 7, 101]),
+    r=st.integers(1, 40),
+)
+def test_digit_codec_roundtrip(n, p, r):
+    digits = _digits(n, p, r)
+    assert len(digits) == r and all(0 <= d < p for d in digits)
+    assert _poly_eval(digits, p) == n % p**r
+
+
+@pytest.mark.parametrize(
+    "coeffs, text",
+    [
+        ((1, -1), "-x + 1"),
+        ((Fraction(-1, 2), 0, -1, 3), "3x^3 - x^2 - 1/2"),
+        ((0, 1, Fraction(2, 3), -1), "-x^3 + 2/3x^2 + x"),
+        ((-1, 0, -1), "-x^2 - 1"),
+        ((), "0"),
+    ],
+)
+def test_rational_polynomial_str(coeffs, text):
+    assert str(RationalPolynomial.of(*coeffs)) == text
+
+
+def test_fq_polynomial_str():
+    assert str(FqPolynomial.of(5, 1, 2, 0, 3)) == "3x^3+2x+1"
