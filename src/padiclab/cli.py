@@ -2,17 +2,21 @@
 
 Subcommands: expand, valuation, norm, hensel, sqrt, product-formula,
 code {encode,decode,add,sub,mul,div}, pauli {mul,order,basis-check,
-normalizer-check}, lattice check, borel, seminorm-check.  ``--json``
-switches any of them to structured output whose shape is pinned by the
-schemas under ``schemas/v1/``.
+normalizer-check}, lattice check, borel, seminorm-check.  Each leaf
+subcommand is declared once by ``leaf()``, which also gives it ``--json``:
+structured output whose shape is pinned by the schemas under ``schemas/v1/``.
+``--json`` belongs to the leaf, so it follows the leaf's name
+(``padiclab code encode 2/3 --p 5 --json``); the groups take no options.
 
 Conventions: exact rationals appear in JSON as {"num", "den"} string pairs;
 high-precision reals as decimal strings; identical invocations produce
-identical bytes.  Exit codes: 0 success, 1 domain error, 2 usage error,
-3 resource limit.  Errors go to stderr as one line (JSON mode: an object
-with ``error`` and ``error_code``).
+identical bytes.  Exit codes: 0 success, 1 domain error (including an
+unparsable rational or real), 2 usage error, 3 resource limit (for example
+``pauli basis-check`` beyond n = 3).  Errors go to stderr as one line (JSON
+mode: an object with ``error`` and ``error_code``).
 
-Defaults r=8 and tolerance 1e-10 can be overridden per invocation or by the
+Defaults r=8 (``--r`` of expand, sqrt and every code subcommand) and
+tolerance 1e-10 (``borel --tol``) can be overridden per invocation or by the
 ``PADICLAB_PRECISION`` / ``PADICLAB_TOLERANCE`` environment variables.
 Arguments that begin with ``-`` (negative rationals) must follow a ``--``
 separator, e.g. ``padiclab norm --archimedean -- -3/4``.
@@ -210,13 +214,6 @@ def _fmt(x, digits: int = 20) -> str:
         return mp.nstr(mp.mpf(x), digits)
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(text)
-
-
 # -- handlers ------------------------------------------------------------------
 
 
@@ -276,41 +273,33 @@ def _cmd_sqrt(args):
 
 def _cmd_product_formula(args):
     if args.function_field is not None:
-        p = args.function_field
-        f = parse_fq_ratio(args.value, p)
+        f = parse_fq_ratio(args.value, args.function_field)
         pairs = local_norms_ff(f)
         product = product_formula_check_ff(f)
-        rows = [
-            {
-                "place": str(place),
-                "valuation": _val_json(poly_valuation(f, place)),
-                "norm_num": str(v.numerator),
-                "norm_den": str(v.denominator),
-            }
-            for place, v in pairs
-        ]
-        field = f"F_{p}(x)"
+        field = f"F_{args.function_field}(x)"
+
+        def valuation(place):
+            return _val_json(poly_valuation(f, place))
+
     else:
         a = parse_rational(args.value)
         pairs = local_norms(a)
         product = product_formula_check(a)
-        rows = []
-        for place, v in pairs:
-            rows.append(
-                {
-                    "place": str(place),
-                    "valuation": None
-                    if place.kind == "archimedean"
-                    else _val_json(nu(a, place.prime)),
-                    "norm_num": str(v.numerator),
-                    "norm_den": str(v.denominator),
-                }
-            )
         field = "Q"
-    lines = [f"place {row['place']}: |a| = {row['norm_num']}/{row['norm_den']}"
-             if row["norm_den"] != "1"
-             else f"place {row['place']}: |a| = {row['norm_num']}"
-             for row in rows]
+
+        def valuation(place):
+            return None if place.kind == "archimedean" else _val_json(nu(a, place.prime))
+
+    rows = [
+        {
+            "place": str(place),
+            "valuation": valuation(place),
+            "norm_num": str(v.numerator),
+            "norm_den": str(v.denominator),
+        }
+        for place, v in pairs
+    ]
+    lines = [f"place {place}: |a| = {v}" for place, v in pairs]
     lines.append(f"product = {product}")
     payload = {
         "input": args.value,
@@ -328,48 +317,56 @@ def _code_payload(code: HenselCode):
     )
 
 
-def _cmd_code(args):
-    p, r = args.p, args.r
-    if args.code_op == "encode":
-        return _code_payload(encode(parse_rational(args.x), p, r))
-    if args.code_op == "decode":
-        value = decode(HenselCode(p, r, args.value))
-        payload = {"p": p, "r": r, "value": args.value, "rational": _rat_pair(value)}
-        return payload, str(value)
-    ops = {"add": code_add, "sub": code_sub, "mul": code_mul, "div": code_div}
-    x = encode(parse_rational(args.x), p, r)
-    y = encode(parse_rational(args.y), p, r)
-    return _code_payload(ops[args.code_op](x, y))
+def _cmd_code_encode(args):
+    return _code_payload(encode(parse_rational(args.x), args.p, args.r))
 
 
-def _cmd_pauli(args):
-    if args.pauli_op == "mul":
-        g = pauli_mul(parse_pauli(args.x), parse_pauli(args.y))
-        payload = {
-            "word": str(g),
-            "n": g.n,
-            "phase": g.phase,
-            "xbits": list(g.xbits),
-            "zbits": list(g.zbits),
-        }
-        return payload, str(g)
-    if args.pauli_op == "order":
-        order = pauli_group_order(args.n)
-        return {"n": args.n, "order": order}, str(order)
-    if args.pauli_op == "basis-check":
-        report = pauli_basis_check(args.n)
-        payload = {
-            "n": args.n,
-            "independent": report.independent,
-            "spanning": report.spanning,
-        }
-        return payload, str(report)
+def _cmd_code_decode(args):
+    value = decode(HenselCode(args.p, args.r, args.value))
+    payload = {"p": args.p, "r": args.r, "value": args.value, "rational": _rat_pair(value)}
+    return payload, str(value)
+
+
+def _code_binary(fn):
+    """Handler for a code op ``fn(x, y)`` on the codes of two rationals."""
+
+    def handler(args):
+        x = encode(parse_rational(args.x), args.p, args.r)
+        y = encode(parse_rational(args.y), args.p, args.r)
+        return _code_payload(fn(x, y))
+
+    return handler
+
+
+def _cmd_pauli_mul(args):
+    g = pauli_mul(parse_pauli(args.x), parse_pauli(args.y))
+    payload = {
+        "word": str(g),
+        "n": g.n,
+        "phase": g.phase,
+        "xbits": list(g.xbits),
+        "zbits": list(g.zbits),
+    }
+    return payload, str(g)
+
+
+def _cmd_pauli_order(args):
+    order = pauli_group_order(args.n)
+    return {"n": args.n, "order": order}, str(order)
+
+
+def _cmd_pauli_basis_check(args):
+    report = pauli_basis_check(args.n)
+    payload = {"n": args.n, "independent": report.independent, "spanning": report.spanning}
+    return payload, str(report)
+
+
+def _cmd_pauli_normalizer_check(args):
     check = is_in_normalizer(parse_matrix(args.matrix))
+    failing = check.failing_generator
     payload = {
         "member": check.member,
-        "failing_generator": None
-        if check.failing_generator is None
-        else str(check.failing_generator),
+        "failing_generator": None if failing is None else str(failing),
     }
     return payload, str(check)
 
@@ -377,22 +374,13 @@ def _cmd_pauli(args):
 def _cmd_lattice(args):
     if args.subspace:
         q, d = args.subspace
-        lat = subspace_lattice(q, d)
-        desc = f"subspace({q},{d})"
+        lat, desc = subspace_lattice(q, d), f"subspace({q},{d})"
+    elif args.named in ("n5", "m3"):
+        lat = pentagon_lattice() if args.named == "n5" else diamond_lattice()
+        desc = args.named
     else:
-        named = {
-            "n5": pentagon_lattice,
-            "m3": diamond_lattice,
-        }
-        if args.named in named:
-            lat = named[args.named]()
-            desc = args.named
-        elif args.named == "boolean":
-            lat = boolean_lattice(args.k)
-            desc = f"boolean({args.k})"
-        else:
-            lat = chain_lattice(args.k)
-            desc = f"chain({args.k})"
+        build = boolean_lattice if args.named == "boolean" else chain_lattice
+        lat, desc = build(args.k), f"{args.named}({args.k})"
     modular = is_modular(lat)
     distributive = is_distributive(lat)
 
@@ -423,16 +411,12 @@ def _cmd_borel(args):
         top = args.order if args.order is not None else optimal_truncation_index(t) + 5
         borel = borel_sum(t, tol=args.tol)
         rows = []
-        lines = []
         for n in range(top + 1):
-            partial = euler_series_partial(t, n)
-            gap = abs(partial.value - borel.value)
-            rows.append(
-                {"n": n, "partial_sum": _fmt(partial.value), "gap": _fmt(gap, 8)}
-            )
-            lines.append(f"{n}\t{_fmt(partial.value)}\t{_fmt(gap, 8)}")
-        payload = {"t": t, "method": "partial_sums_table", "rows": rows}
-        return payload, "\n".join(lines)
+            partial = euler_series_partial(t, n).value
+            gap = abs(partial - borel.value)
+            rows.append({"n": n, "partial_sum": _fmt(partial), "gap": _fmt(gap, 8)})
+        text = "\n".join(f"{row['n']}\t{row['partial_sum']}\t{row['gap']}" for row in rows)
+        return {"t": t, "method": "partial_sums_table", "rows": rows}, text
     if args.order is not None:
         result = euler_series_partial(t, args.order)
 
@@ -503,15 +487,40 @@ def _cmd_seminorm_check(args):
 # -- parser --------------------------------------------------------------------
 
 
-def _env_precision() -> int:
+def _env(name: str, convert, default):
+    """``convert`` of environment variable ``name``; ``default`` if unset or malformed."""
     try:
-        return int(os.environ.get("PADICLAB_PRECISION", "8"))
+        return convert(os.environ.get(name, default))
     except ValueError:
-        return 8
+        return default
 
 
-def _env_tolerance() -> str:
-    return os.environ.get("PADICLAB_TOLERANCE", "1e-10")
+def leaf(subs, name, handler, *positionals, p=False, r=False, **kwargs):
+    """Declare one leaf subcommand with its handler, ``--json`` and shared options.
+
+    Positionals are names or (name, type) pairs.  ``p=True`` adds a required
+    ``--p``; an int makes ``--p`` optional with that default; ``"archimedean"``
+    requires exactly one of ``--p`` and ``--archimedean``.  ``r=True`` adds
+    ``--r``, defaulting to ``PADICLAB_PRECISION``.  Returns the leaf parser for
+    its own options; ``kwargs`` go to ``add_parser``.
+    """
+    sp = subs.add_parser(name, **kwargs)
+    sp.set_defaults(handler=handler)
+    sp.add_argument("--json", action="store_true", help="structured output")
+    for pos in positionals:
+        dest, kind = (pos, None) if isinstance(pos, str) else pos
+        sp.add_argument(dest, type=kind)
+    if p == "archimedean":
+        place = sp.add_mutually_exclusive_group(required=True)
+        place.add_argument("--p", type=int)
+        place.add_argument("--archimedean", action="store_true")
+    elif p is True:
+        sp.add_argument("--p", type=int, required=True)
+    elif p:
+        sp.add_argument("--p", type=int, default=p)
+    if r:
+        sp.add_argument("--r", type=int, default=_env("PADICLAB_PRECISION", int, 8))
+    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -520,114 +529,75 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact p-adic arithmetic, product formulas, Hensel codes, "
         "Pauli/lattice quantum logic, and Borel summation.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    top = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(handler=handler)
-        p.add_argument("--json", action="store_true", help="structured output")
-        return p
+    def group(name, help):
+        return top.add_parser(name, help=help).add_subparsers(
+            dest=f"{name}_op", required=True
+        )
 
-    p = add("expand", _cmd_expand, help="digit expansion of a rational")
-    p.add_argument("value")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--r", type=int, default=_env_precision())
-
-    p = add("valuation", _cmd_valuation, help="p-adic valuation of a rational")
-    p.add_argument("value")
-    p.add_argument("--p", type=int, required=True)
-
-    p = add("norm", _cmd_norm, help="exact absolute value at a place")
-    p.add_argument("value")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--p", type=int)
-    group.add_argument("--archimedean", action="store_true")
-
-    p = add("hensel", _cmd_hensel, help="lift a simple root mod p to mod p^(k+1)")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--x0", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-
-    p = add("sqrt", _cmd_sqrt, help="p-adic square roots of an integer")
-    p.add_argument("a", type=int)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--r", type=int, default=_env_precision())
-
-    p = add("product-formula", _cmd_product_formula, help="norms over all places")
-    p.add_argument("value")
-    p.add_argument(
+    leaf(top, "expand", _cmd_expand, "value", p=True, r=True,
+         help="digit expansion of a rational")
+    leaf(top, "valuation", _cmd_valuation, "value", p=True,
+         help="p-adic valuation of a rational")
+    leaf(top, "norm", _cmd_norm, "value", p="archimedean",
+         help="exact absolute value at a place")
+    sp = leaf(top, "hensel", _cmd_hensel, p=True,
+              help="lift a simple root mod p to mod p^(k+1)")
+    sp.add_argument("--poly", required=True)
+    sp.add_argument("--x0", type=int, required=True)
+    sp.add_argument("--k", type=int, required=True)
+    leaf(top, "sqrt", _cmd_sqrt, ("a", int), p=True, r=True,
+         help="p-adic square roots of an integer")
+    sp = leaf(top, "product-formula", _cmd_product_formula, "value",
+              help="norms over all places")
+    sp.add_argument(
         "--function-field",
         type=int,
         metavar="P",
         help="treat the input as a rational function over F_P",
     )
 
-    p = add("code", _cmd_code, help="r-digit residue codes for rationals")
-    code_sub = p.add_subparsers(dest="code_op", required=True)
-    for op in ("encode", "decode", "add", "sub", "mul", "div"):
-        sp = code_sub.add_parser(op)
-        sp.set_defaults(handler=_cmd_code)
-        sp.add_argument("--json", action="store_true")
-        sp.add_argument("--p", type=int, required=True)
-        sp.add_argument("--r", type=int, default=_env_precision())
-        if op == "encode":
-            sp.add_argument("x")
-        elif op == "decode":
-            sp.add_argument("value", type=int)
-        else:
-            sp.add_argument("x")
-            sp.add_argument("y")
+    code = group("code", "r-digit residue codes for rationals")
+    leaf(code, "encode", _cmd_code_encode, "x", p=True, r=True)
+    leaf(code, "decode", _cmd_code_decode, ("value", int), p=True, r=True)
+    for op, fn in (("add", code_add), ("sub", code_sub), ("mul", code_mul), ("div", code_div)):
+        leaf(code, op, _code_binary(fn), "x", "y", p=True, r=True)
 
-    p = add("pauli", _cmd_pauli, help="exact Pauli-group algebra")
-    pauli_sub = p.add_subparsers(dest="pauli_op", required=True)
-    sp = pauli_sub.add_parser("mul")
-    sp.set_defaults(handler=_cmd_pauli)
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("x")
-    sp.add_argument("y")
-    sp = pauli_sub.add_parser("order")
-    sp.set_defaults(handler=_cmd_pauli)
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("--n", type=int, default=1)
-    sp = pauli_sub.add_parser("basis-check")
-    sp.set_defaults(handler=_cmd_pauli)
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("--n", type=int, default=1)
-    sp = pauli_sub.add_parser("normalizer-check")
-    sp.set_defaults(handler=_cmd_pauli)
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("--matrix", required=True, help="rows ';', entries ','")
+    pauli = group("pauli", "exact Pauli-group algebra")
+    leaf(pauli, "mul", _cmd_pauli_mul, "x", "y")
+    leaf(pauli, "order", _cmd_pauli_order).add_argument("--n", type=int, default=1)
+    leaf(pauli, "basis-check", _cmd_pauli_basis_check).add_argument(
+        "--n", type=int, default=1
+    )
+    leaf(pauli, "normalizer-check", _cmd_pauli_normalizer_check).add_argument(
+        "--matrix", required=True, help="rows ';', entries ','"
+    )
 
-    p = add("lattice", _cmd_lattice, help="modular/distributive law checks")
-    lattice_sub = p.add_subparsers(dest="lattice_op", required=True)
-    sp = lattice_sub.add_parser("check")
-    sp.set_defaults(handler=_cmd_lattice)
-    sp.add_argument("--json", action="store_true")
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--subspace", nargs=2, type=int, metavar=("Q", "D"))
-    group.add_argument("--named", choices=["n5", "m3", "boolean", "chain"])
+    sp = leaf(group("lattice", "modular/distributive law checks"), "check", _cmd_lattice)
+    which = sp.add_mutually_exclusive_group(required=True)
+    which.add_argument("--subspace", nargs=2, type=int, metavar=("Q", "D"))
+    which.add_argument("--named", choices=["n5", "m3", "boolean", "chain"])
     sp.add_argument("--k", type=int, default=3, help="size for boolean/chain")
 
-    p = add("borel", _cmd_borel, help="summation of the Euler series")
-    p.add_argument("--t", required=True)
-    p.add_argument("--order", type=int, help="evaluate the partial sum S_N instead")
-    p.add_argument("--a", help="add a*exp(1/t) (general solution)")
-    p.add_argument("--tol", default=_env_tolerance())
-    p.add_argument("--table", action="store_true", help="rows (N, S_N, |S_N - y_B|)")
+    sp = leaf(top, "borel", _cmd_borel, help="summation of the Euler series")
+    sp.add_argument("--t", required=True)
+    sp.add_argument("--order", type=int, help="evaluate the partial sum S_N instead")
+    sp.add_argument("--a", help="add a*exp(1/t) (general solution)")
+    sp.add_argument("--tol", default=_env("PADICLAB_TOLERANCE", str, "1e-10"))
+    sp.add_argument("--table", action="store_true", help="rows (N, S_N, |S_N - y_B|)")
 
-    p = add("seminorm-check", _cmd_seminorm_check, help="Gauss-norm axiom report")
-    p.add_argument("--p", type=int, default=3)
-    p.add_argument("--samples", type=int, default=30)
-    p.add_argument("--degree", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    sp = leaf(top, "seminorm-check", _cmd_seminorm_check, p=3,
+              help="Gauss-norm axiom report")
+    sp.add_argument("--samples", type=int, default=30)
+    sp.add_argument("--degree", type=int, default=4)
+    sp.add_argument("--seed", type=int, default=0)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         payload, text = args.handler(args)
     except PadiclabError as exc:
@@ -639,7 +609,7 @@ def main(argv=None) -> int:
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, ResourceLimitError) else 1
-    _emit(args, payload, text)
+    print(json.dumps(payload, sort_keys=True) if args.json else text)
     return 0
 
 

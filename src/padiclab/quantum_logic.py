@@ -361,7 +361,15 @@ def _rank(vectors: list[list[GaussianRational]]) -> int:
 
 
 def pauli_basis_check(n: int = 1) -> BasisReport:
-    """Exact rank check: the 4**n sigma words are a basis of the 2**n matrices."""
+    """Exact rank check: the 4**n sigma words are a basis of the 2**n matrices.
+
+    Elimination runs on a 4**n x 4**n Gaussian-rational matrix (256 x 256
+    at n = 4), so n is limited to 1..3.
+    """
+    if n < 1:
+        raise DomainError("n must be at least 1")
+    if n > 3:
+        raise ResourceLimitError("basis checking is supported for n <= 3")
     vectors = []
     for b in pauli_basis(n):
         m = b.to_matrix()

@@ -44,7 +44,10 @@ GROWTH_GUARD_T = Fraction(1, 10**6)
 def _to_mp(t):
     if isinstance(t, Fraction):
         return mpf(t.numerator) / t.denominator
-    return mpf(t)
+    try:
+        return mpf(t)
+    except ValueError:
+        raise DomainError(f"cannot parse real {t!r}") from None
 
 
 def _require_positive(t) -> mpf:

@@ -6,6 +6,7 @@ text renderings of the worked examples are pinned byte-for-byte.
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import subprocess
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
-from padiclab.cli import main
+from padiclab.cli import build_parser, main
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas" / "v1"
 
@@ -239,6 +240,52 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
+def test_basis_check_beyond_three_qubits_exits_3():
+    code, out, err = run_cli("pauli", "basis-check", "--n", "4", "--json")
+    assert code == 3
+    assert out == ""
+    payload = json.loads(err)
+    load_schema("error").validate(payload)
+    assert payload["error_code"] == "resource_limit"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["code", "--json", "encode", "2/3", "--p", "5", "--r", "4"],
+        ["pauli", "--json", "mul", "X", "Z"],
+        ["lattice", "--json", "check", "--named", "n5"],
+    ],
+)
+def test_group_level_json_is_a_usage_error(argv):
+    # --json belongs to the leaf; the groups take no options
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, tolerance",
+    [
+        (["borel", "--t", "abc"], None),
+        (["borel", "--t", "1/2", "--tol", "xyz"], None),
+        (["borel", "--t", "1/2", "--a", "q"], None),
+        (["borel", "--t", "1/2"], "bad"),
+    ],
+)
+def test_unparsable_real_exits_1(monkeypatch, argv, tolerance):
+    if tolerance is not None:
+        monkeypatch.setenv("PADICLAB_TOLERANCE", tolerance)
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot parse real ")
+    code, out, err = run_cli(*argv, "--json")
+    assert (code, out) == (1, "")
+    payload = json.loads(err)
+    load_schema("error").validate(payload)
+    assert payload["error_code"] == "domain_error"
+
+
 def test_negative_rational_needs_separator():
     code, out, _ = run_cli("valuation", "--p", "2", "--", "-8")
     assert code == 0
@@ -284,3 +331,61 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1,331\n"
+
+
+# ---------------------------------------------------------------------------
+# The parser surface
+# ---------------------------------------------------------------------------
+
+# leaf path -> (option strings other than -h/--help, positional dests)
+LEAVES = {
+    ("expand",): ({"--json", "--p", "--r"}, ["value"]),
+    ("valuation",): ({"--json", "--p"}, ["value"]),
+    ("norm",): ({"--json", "--p", "--archimedean"}, ["value"]),
+    ("hensel",): ({"--json", "--p", "--poly", "--x0", "--k"}, []),
+    ("sqrt",): ({"--json", "--p", "--r"}, ["a"]),
+    ("product-formula",): ({"--json", "--function-field"}, ["value"]),
+    ("code", "encode"): ({"--json", "--p", "--r"}, ["x"]),
+    ("code", "decode"): ({"--json", "--p", "--r"}, ["value"]),
+    ("code", "add"): ({"--json", "--p", "--r"}, ["x", "y"]),
+    ("code", "sub"): ({"--json", "--p", "--r"}, ["x", "y"]),
+    ("code", "mul"): ({"--json", "--p", "--r"}, ["x", "y"]),
+    ("code", "div"): ({"--json", "--p", "--r"}, ["x", "y"]),
+    ("pauli", "mul"): ({"--json"}, ["x", "y"]),
+    ("pauli", "order"): ({"--json", "--n"}, []),
+    ("pauli", "basis-check"): ({"--json", "--n"}, []),
+    ("pauli", "normalizer-check"): ({"--json", "--matrix"}, []),
+    ("lattice", "check"): ({"--json", "--subspace", "--named", "--k"}, []),
+    ("borel",): ({"--json", "--t", "--order", "--a", "--tol", "--table"}, []),
+    ("seminorm-check",): ({"--json", "--p", "--samples", "--degree", "--seed"}, []),
+}
+# group path -> dest of its subcommand choice; groups take no options
+GROUPS = {(): "command", ("code",): "code_op", ("pauli",): "pauli_op",
+          ("lattice",): "lattice_op"}
+
+
+def walk_parsers(parser, path=()):
+    """Yield (path, parser, subcommand action or None) for every parser in the tree."""
+    subs = next(
+        (a for a in parser._actions if isinstance(a, argparse._SubParsersAction)), None
+    )
+    yield path, parser, subs
+    if subs is not None:
+        for name, child in subs.choices.items():
+            yield from walk_parsers(child, path + (name,))
+
+
+def test_cli_surface_is_pinned():
+    leaves, groups = {}, {}
+    for path, parser, subs in walk_parsers(build_parser()):
+        options = {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+        if subs is None:
+            positionals = [a.dest for a in parser._actions if not a.option_strings]
+            leaves[path] = (options, positionals)
+            json_flag = parser._option_string_actions["--json"]
+            assert isinstance(json_flag, argparse._StoreTrueAction), path
+        else:
+            groups[path] = subs.dest
+            assert options == set(), path
+    assert leaves == LEAVES
+    assert groups == GROUPS

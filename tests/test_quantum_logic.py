@@ -149,6 +149,14 @@ def test_basis_check_passes():
     assert report.independent and report.spanning
 
 
+def test_basis_check_guard():
+    assert pauli_basis_check(2).passed
+    with pytest.raises(ResourceLimitError):
+        pauli_basis_check(4)
+    with pytest.raises(DomainError):
+        pauli_basis_check(-1)
+
+
 def test_decompose_e11():
     e11 = GaussianMatrix.of([[1, 0], [0, 0]])
     coeffs = decompose_in_pauli_basis(e11)

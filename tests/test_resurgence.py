@@ -145,6 +145,15 @@ def test_borel_rejects_nonpositive_t():
         borel_sum(Fraction(-1, 2))
 
 
+def test_unparsable_reals_are_domain_errors():
+    with pytest.raises(DomainError, match="cannot parse real"):
+        borel_sum("abc")
+    with pytest.raises(DomainError, match="cannot parse real"):
+        borel_sum(Fraction(1, 2), tol="xyz")
+    with pytest.raises(DomainError, match="cannot parse real"):
+        general_solution(Fraction(1, 2), "q")
+
+
 def test_borel_unreachable_tolerance_raises_with_achieved():
     with pytest.raises(AccuracyError) as exc:
         borel_sum(Fraction(1, 2), tol=Fraction(1, 10**60))
