@@ -409,6 +409,8 @@ def _cmd_borel(args):
     t = args.t
     if args.table:
         top = args.order if args.order is not None else optimal_truncation_index(t) + 5
+        if top < 0:
+            raise DomainError("order must be >= 0")
         borel = borel_sum(t, tol=args.tol)
         rows = []
         for n in range(top + 1):
@@ -452,6 +454,8 @@ def _cmd_borel(args):
 
 
 def _cmd_seminorm_check(args):
+    if args.degree < 0:
+        raise DomainError("degree must be >= 0")
     rng = random.Random(args.seed)
     samples = []
     for _ in range(args.samples):

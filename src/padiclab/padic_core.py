@@ -566,6 +566,8 @@ def check_seminorm_axioms(norm_fn, samples, *, zero, one) -> SeminormReport:
     and ``*``; all ordered pairs are tested.  On failure each axiom entry
     carries the first witness found.
     """
+    if not samples:
+        raise DomainError("seminorm check needs at least one sample")
     results = []
 
     results.append(

@@ -10,10 +10,12 @@ membership (normalizer of the Pauli group) is decided by exact conjugation
 and Pauli-basis decomposition, never numerically.  Unitaries are accepted up
 to an exact global scalar, so Hadamard-like matrices avoid any 1/sqrt(2).
 
-Lattices are finite and explicit: the partial order is validated, meet and
-join are derived as the unique bounds and precomputed, so the modular and
+Lattices are finite and explicit: the order is held as one down-set bitmask
+per element, validated by bit tests, and meet and join are read off
+intersected down-sets and up-sets and precomputed, so the modular and
 distributive laws can be checked over all triples with witnesses on
-failure.  Subspace lattices of F_q^d realize quantum logic exactly: they
+failure.  Generated lattices are bounded to 128 elements before any is
+enumerated.  Subspace lattices of F_q^d realize quantum logic exactly: they
 are modular, and from dimension 2 on never distributive.
 """
 
@@ -112,12 +114,7 @@ class GaussianMatrix:
 
     @classmethod
     def identity(cls, dim: int) -> "GaussianMatrix":
-        return cls(
-            tuple(
-                tuple(G_ONE if i == j else G_ZERO for j in range(dim))
-                for i in range(dim)
-            )
-        )
+        return cls.of([[int(i == j) for j in range(dim)] for i in range(dim)])
 
     @property
     def dim(self) -> int:
@@ -182,12 +179,7 @@ class GaussianMatrix:
     def scalar_multiple_of_identity(self) -> GaussianRational | None:
         """The scalar c with self == c*I, or None."""
         c = self.rows[0][0]
-        for i in range(self.dim):
-            for j in range(self.dim):
-                expect = c if i == j else G_ZERO
-                if self.rows[i][j] != expect:
-                    return None
-        return c
+        return c if self == GaussianMatrix.identity(self.dim).scale(c) else None
 
 
 _MAT_1Q = {
@@ -300,6 +292,8 @@ def pauli_group_order(n: int) -> int:
 
 def pauli_basis(n: int = 1) -> list[PauliElement]:
     """All 4**n phase-free tensor words in sigma_0,x,y,z (Y as i*XZ)."""
+    if n < 1:
+        raise DomainError("n must be at least 1")
     out = []
     for bits in product((0, 1), repeat=2 * n):
         x, z = bits[:n], bits[n:]
@@ -366,8 +360,6 @@ def pauli_basis_check(n: int = 1) -> BasisReport:
     Elimination runs on a 4**n x 4**n Gaussian-rational matrix (256 x 256
     at n = 4), so n is limited to 1..3.
     """
-    if n < 1:
-        raise DomainError("n must be at least 1")
     if n > 3:
         raise ResourceLimitError("basis checking is supported for n <= 3")
     vectors = []
@@ -426,56 +418,53 @@ def is_in_normalizer(u: GaussianMatrix, n: int | None = None) -> NormalizerCheck
 class FiniteLattice:
     """A finite lattice given by its order relation.
 
-    The relation is validated (reflexive, antisymmetric, transitive) and
-    meet/join are derived as the unique greatest lower / least upper bounds
-    and precomputed for every pair; construction fails if any pair lacks
-    one.  Instances are immutable after construction.
+    The order is held as one bitmask per element: bit i of ``down[a]`` is set
+    when element i <= a, and ``up`` is the transpose.  Reflexivity and
+    transitivity are bit tests; given both, the order is antisymmetric exactly
+    when no two elements share a down-set.  The meet of a and b is the element
+    whose down-set is ``down[a] & down[b]`` and the join is the dual on
+    up-sets; both are tabulated for every pair, and construction fails if any
+    pair lacks one.  Instances are immutable after construction.
     """
 
     def __init__(self, elements, leq_fn, labels=None):
-        self._elements = tuple(elements)
-        if len(set(self._elements)) != len(self._elements):
+        els = self._elements = tuple(elements)
+        self._index = {e: i for i, e in enumerate(els)}
+        if len(self._index) != len(els):
             raise DomainError("elements must be distinct")
-        self._labels = dict(labels) if labels else {e: str(e) for e in self._elements}
-        self._leq = {
-            (a, b) for a in self._elements for b in self._elements if leq_fn(a, b)
-        }
-        self._validate_order()
-        self._meet = {}
-        self._join = {}
-        for a in self._elements:
-            for b in self._elements:
-                self._meet[(a, b)] = self._bound(a, b, lower=True)
-                self._join[(a, b)] = self._bound(a, b, lower=False)
-
-    def _validate_order(self):
-        els = self._elements
-        for a in els:
-            if (a, a) not in self._leq:
+        self._labels = dict(labels) if labels else {e: str(e) for e in els}
+        down = self._down = [0] * len(els)
+        up = [0] * len(els)
+        for j, b in enumerate(els):
+            for i, a in enumerate(els):
+                if leq_fn(a, b):
+                    down[j] |= 1 << i
+                    up[i] |= 1 << j
+        for i, a in enumerate(els):
+            if not down[i] >> i & 1:
                 raise DomainError(f"order is not reflexive at {self.label(a)}")
-        for a, b in self._leq:
-            if a != b and (b, a) in self._leq:
-                raise DomainError(
-                    f"order is not antisymmetric on {self.label(a)}, {self.label(b)}"
-                )
-        for a, b in self._leq:
-            for c in els:
-                if (b, c) in self._leq and (a, c) not in self._leq:
+        for mask in down:
+            for i in range(len(els)):
+                if mask >> i & 1 and down[i] & ~mask:
                     raise DomainError("order is not transitive")
-
-    def _bound(self, a, b, lower: bool):
-        if lower:
-            cands = [x for x in self._elements if self.leq(x, a) and self.leq(x, b)]
-            best = [x for x in cands if all(self.leq(y, x) for y in cands)]
-        else:
-            cands = [x for x in self._elements if self.leq(a, x) and self.leq(b, x)]
-            best = [x for x in cands if all(self.leq(x, y) for y in cands)]
-        if len(best) != 1:
-            kind = "meet" if lower else "join"
-            raise DomainError(
-                f"not a lattice: {self.label(a)}, {self.label(b)} have no unique {kind}"
-            )
-        return best[0]
+        by_down, by_up = {}, dict(zip(up, els))
+        for a, mask in zip(els, down):
+            if mask in by_down:
+                raise DomainError(
+                    f"order is not antisymmetric on {self.label(by_down[mask])}, {self.label(a)}"
+                )
+            by_down[mask] = a
+        self._meet, self._join = {}, {}
+        for i, a in enumerate(els):
+            for j, b in enumerate(els):
+                try:
+                    self._meet[a, b] = by_down[down[i] & down[j]]
+                    self._join[a, b] = by_up[up[i] & up[j]]
+                except KeyError:
+                    kind = "join" if (a, b) in self._meet else "meet"
+                    raise DomainError(
+                        f"not a lattice: {self.label(a)}, {self.label(b)} have no unique {kind}"
+                    ) from None
 
     @property
     def elements(self) -> tuple:
@@ -485,7 +474,7 @@ class FiniteLattice:
         return self._labels[e]
 
     def leq(self, a, b) -> bool:
-        return (a, b) in self._leq
+        return bool(self._down[self._index[b]] >> self._index[a] & 1)
 
     def meet(self, a, b):
         return self._meet[(a, b)]
@@ -512,86 +501,72 @@ class LawCheck:
         return out
 
 
-def is_modular(lat: FiniteLattice) -> LawCheck:
-    """b <= a implies a meet (b join c) == b join (a meet c), all triples."""
+def _law_scan(lat: FiniteLattice, law: str) -> LawCheck:
+    """The first triple in element order on which ``law`` fails, as a witness."""
+    modular = law == "modular"
+    meet, join = lat.meet, lat.join
     for a in lat.elements:
         for b in lat.elements:
-            if not lat.leq(b, a):
+            if modular and not lat.leq(b, a):
                 continue
             for c in lat.elements:
-                lhs = lat.meet(a, lat.join(b, c))
-                rhs = lat.join(b, lat.meet(a, c))
+                lhs = meet(a, join(b, c))
+                rhs = join(b, meet(a, c)) if modular else join(meet(a, b), meet(a, c))
                 if lhs != rhs:
-                    return LawCheck(
-                        "modular",
-                        False,
-                        {
-                            "a": lat.label(a),
-                            "b": lat.label(b),
-                            "c": lat.label(c),
-                            "lhs": lat.label(lhs),
-                            "rhs": lat.label(rhs),
-                        },
-                    )
-    return LawCheck("modular", True)
+                    witness = {"a": a, "b": b, "c": c, "lhs": lhs, "rhs": rhs}
+                    return LawCheck(law, False, {k: lat.label(v) for k, v in witness.items()})
+    return LawCheck(law, True)
+
+
+def is_modular(lat: FiniteLattice) -> LawCheck:
+    """b <= a implies a meet (b join c) == b join (a meet c), all triples."""
+    return _law_scan(lat, "modular")
 
 
 def is_distributive(lat: FiniteLattice) -> LawCheck:
     """a meet (b join c) == (a meet b) join (a meet c) over all triples."""
-    for a in lat.elements:
-        for b in lat.elements:
-            for c in lat.elements:
-                lhs = lat.meet(a, lat.join(b, c))
-                rhs = lat.join(lat.meet(a, b), lat.meet(a, c))
-                if lhs != rhs:
-                    return LawCheck(
-                        "distributive",
-                        False,
-                        {
-                            "a": lat.label(a),
-                            "b": lat.label(b),
-                            "c": lat.label(c),
-                            "lhs": lat.label(lhs),
-                            "rhs": lat.label(rhs),
-                        },
-                    )
-    return LawCheck("distributive", True)
+    return _law_scan(lat, "distributive")
 
 
 def pentagon_lattice() -> FiniteLattice:
     """N5: 0 < x < z < 1 with y incomparable to both; fails modularity."""
-    order = {
-        ("0", "0"), ("x", "x"), ("y", "y"), ("z", "z"), ("1", "1"),
-        ("0", "x"), ("0", "y"), ("0", "z"), ("0", "1"),
-        ("x", "z"), ("x", "1"), ("y", "1"), ("z", "1"),
-    }
-    return FiniteLattice("0xyz1", lambda a, b: (a, b) in order)
+    return FiniteLattice(
+        "0xyz1", lambda a, b: a == b or a == "0" or b == "1" or (a, b) == ("x", "z")
+    )
 
 
 def diamond_lattice() -> FiniteLattice:
     """M3: three incomparable atoms; modular but not distributive."""
-    atoms = ("a", "b", "c")
-    order = {(e, e) for e in "0abc1"} | {("0", e) for e in "abc1"} | {
-        (e, "1") for e in atoms
-    } | {("0", "1")}
-    return FiniteLattice("0abc1", lambda a, b: (a, b) in order)
+    return FiniteLattice("0abc1", lambda a, b: a == b or a == "0" or b == "1")
+
+
+#: generated lattices are refused beyond this many elements: each law scan
+#: makes up to 2 * n**3 meet/join lookups, seconds at n = 128
+_MAX_LATTICE_ELEMENTS = 128
+
+
+def _require_size(n: int, family: str) -> None:
+    """Refuse a generated lattice of ``n`` elements before enumerating any."""
+    if n > _MAX_LATTICE_ELEMENTS:
+        raise ResourceLimitError(
+            f"{family} lattices are supported up to {_MAX_LATTICE_ELEMENTS} elements"
+        )
 
 
 def chain_lattice(k: int) -> FiniteLattice:
     if k < 1:
         raise DomainError("a chain needs at least one element")
+    _require_size(k, "chain")
     return FiniteLattice(range(k), lambda a, b: a <= b)
 
 
 def boolean_lattice(k: int) -> FiniteLattice:
     """Subsets of a k-set under inclusion; the distributive benchmark."""
-    if k < 0 or 2**k > 2**14:
-        raise ResourceLimitError("boolean lattice supported for 2**k <= 2**14")
-    ground = range(k)
-    elements = []
-    for size in range(k + 1):
-        for sub in combinations(ground, size):
-            elements.append(frozenset(sub))
+    if k < 0:
+        raise DomainError("a boolean lattice needs k >= 0")
+    # capping k keeps a huge k cheap: 2**bit_length already exceeds the bound
+    _require_size(2 ** min(k, _MAX_LATTICE_ELEMENTS.bit_length()), "boolean")
+    elements = [frozenset(sub) for size in range(k + 1) for sub in combinations(range(k), size)]
     labels = {e: "{" + ",".join(map(str, sorted(e))) + "}" for e in elements}
     return FiniteLattice(elements, frozenset.issubset, labels)
 
@@ -601,16 +576,19 @@ class SubspaceLattice(FiniteLattice):
 
     Elements are the full vector sets (frozensets of tuples), enumerated
     once each via row-reduced echelon bases; meet is set intersection and
-    join is the sum space, both recovered here by the generic unique-bound
-    construction and cross-checked in the tests.
+    join is the sum space, both read off the down-set and up-set masks of
+    ``FiniteLattice`` and cross-checked in the tests.  The element count (the
+    sum of the Gaussian binomials [d choose j]_q) is bounded before any
+    subspace is enumerated, and q**d bounds each vector set.
     """
 
     def __init__(self, q: int, d: int):
         require_prime(q)
         if d < 1:
             raise DomainError("dimension must be at least 1")
-        if q**d > 2**14:
+        if d > 14 or q**d > 2**14:  # q >= 2, so d > 14 alone exceeds it
             raise ResourceLimitError("subspace lattices need q**d <= 2**14")
+        _require_size(_subspace_count(q, d), "subspace")
         self.q = q
         self.d = d
         elements = []
@@ -623,6 +601,14 @@ class SubspaceLattice(FiniteLattice):
             else:
                 labels[space] = "0"
         super().__init__(elements, frozenset.issubset, labels)
+
+
+def _subspace_count(q: int, d: int) -> int:
+    """Subspaces of F_q^d, by Goldman and Rota's G(n+1) = 2G(n) + (q**n - 1)G(n-1)."""
+    g, h = 1, 2  # G(0), G(1)
+    for n in range(1, d):
+        g, h = h, 2 * h + (q**n - 1) * g
+    return h
 
 
 def _vec_str(v: tuple[int, ...]) -> str:

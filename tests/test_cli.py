@@ -11,6 +11,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -187,6 +188,36 @@ def test_lattice_json_schemas():
     }
 
 
+LATTICE_TEXT = {
+    ("--named", "n5"): "lattice n5: 5 elements\n"
+    "modular: fails witness a=z b=x c=y lhs=z rhs=x\n"
+    "distributive: fails witness a=z b=x c=y lhs=z rhs=x\n",
+    ("--named", "m3"): "lattice m3: 5 elements\n"
+    "modular: holds\n"
+    "distributive: fails witness a=a b=b c=c lhs=a rhs=0\n",
+    ("--named", "boolean", "--k", "3"): "lattice boolean(3): 8 elements\n"
+    "modular: holds\n"
+    "distributive: holds\n",
+    ("--named", "chain", "--k", "4"): "lattice chain(4): 4 elements\n"
+    "modular: holds\n"
+    "distributive: holds\n",
+    ("--subspace", "2", "2"): "lattice subspace(2,2): 5 elements\n"
+    "modular: holds\n"
+    "distributive: fails witness a=span{(1,0)} b=span{(1,1)} c=span{(0,1)} "
+    "lhs=span{(1,0)} rhs=0\n",
+    ("--subspace", "3", "2"): "lattice subspace(3,2): 6 elements\n"
+    "modular: holds\n"
+    "distributive: fails witness a=span{(1,0)} b=span{(1,1)} c=span{(1,2)} "
+    "lhs=span{(1,0)} rhs=0\n",
+}
+
+
+@pytest.mark.parametrize("argv", list(LATTICE_TEXT))
+def test_lattice_text_pinned(argv):
+    # the witnesses are the first failing triples in element order
+    assert run_cli("lattice", "check", *argv) == (0, LATTICE_TEXT[argv], "")
+
+
 def test_borel_json_schema():
     payload = run_json("borel", "--t", "1/2", schema="borel")
     assert payload["t"] == "1/2"
@@ -247,6 +278,51 @@ def test_basis_check_beyond_three_qubits_exits_3():
     payload = json.loads(err)
     load_schema("error").validate(payload)
     assert payload["error_code"] == "resource_limit"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--named", "chain", "--k", "100000"],
+        ["--named", "boolean", "--k", "8"],
+        ["--subspace", "2", "5"],
+        ["--subspace", "2", "14"],
+    ],
+)
+def test_oversized_lattice_refused_fast(argv):
+    # one process at a time; the refusal must come before any enumeration
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "padiclab", "lattice", "check", *argv],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert elapsed < 2.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["seminorm-check", "--samples", "0"],
+        ["seminorm-check", "--samples", "-1"],
+        ["seminorm-check", "--degree", "-1"],
+        ["borel", "--t", "1/2", "--table", "--order", "-1"],
+    ],
+)
+def test_empty_or_negative_counts_exit_1(argv):
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+    code, out, err = run_cli(*argv, "--json")
+    assert (code, out) == (1, "")
+    payload = json.loads(err)
+    load_schema("error").validate(payload)
+    assert payload["error_code"] == "domain_error"
 
 
 @pytest.mark.parametrize(

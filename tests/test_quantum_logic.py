@@ -8,6 +8,7 @@ structure, and exact Gaussian-rational matrices used as the oracle.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -181,6 +182,12 @@ def test_decompose_recompose_roundtrip(entries):
     assert acc == m
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_pauli_basis_needs_a_qubit(n):
+    with pytest.raises(DomainError, match="n must be at least 1"):
+        pauli_basis(n)
+
+
 def test_basis_trace_orthogonality():
     basis = pauli_basis(1)
     for i, a in enumerate(basis):
@@ -316,6 +323,72 @@ def test_lattice_axioms_on_constructed_instances():
                 assert lat.join(a, lat.meet(a, b)) == a
 
 
+def divides(a, b):
+    return b % a == 0
+
+
+def test_divisor_lattices_meet_is_gcd_join_is_lcm():
+    # an oracle independent of the bitmask construction
+    for n in range(1, 361):
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        lat = FiniteLattice(divisors, divides)
+        for a in divisors:
+            for b in divisors:
+                assert lat.meet(a, b) == gcd(a, b)
+                assert lat.join(a, b) == lcm(a, b)
+                assert lat.leq(a, b) == divides(a, b)
+
+
+def test_missing_join_rejected():
+    # 2 and 3 have no common multiple among 1, 2, 3
+    with pytest.raises(DomainError, match="not a lattice: 2, 3 have no unique join"):
+        FiniteLattice(range(1, 4), divides)
+
+
+def test_missing_meet_rejected():
+    with pytest.raises(DomainError, match="not a lattice: a, b have no unique meet"):
+        FiniteLattice("abc", lambda x, y: x == y or y == "c")
+
+
+@pytest.mark.parametrize(
+    "leq, message",
+    [
+        (lambda x, y: x < y, "order is not reflexive at 0"),
+        (lambda x, y: x <= y or (x, y) == (2, 1), "order is not antisymmetric on 1, 2"),
+        # 0 <= 1 <= 2 without 0 <= 2
+        (lambda x, y: x <= y and (x, y) != (0, 2), "order is not transitive"),
+    ],
+)
+def test_invalid_orders_rejected(leq, message):
+    with pytest.raises(DomainError, match=message):
+        FiniteLattice(range(3), leq)
+
+
+def test_distinct_elements_required():
+    with pytest.raises(DomainError, match="elements must be distinct"):
+        FiniteLattice([1, 1], divides)
+
+
+def test_generated_lattices_bounded_at_128_elements():
+    assert len(chain_lattice(128).elements) == 128
+    for build, arg in ((chain_lattice, 129), (boolean_lattice, 8), (boolean_lattice, 1000)):
+        with pytest.raises(ResourceLimitError, match="up to 128 elements"):
+            build(arg)
+    with pytest.raises(DomainError):
+        boolean_lattice(-1)
+
+
+def test_subspace_guard_refuses_before_enumerating(monkeypatch):
+    def enumerate_nothing(q, d):
+        raise AssertionError("enumerated past the guard")
+
+    monkeypatch.setattr("padiclab.quantum_logic._rref_bases", enumerate_nothing)
+    # (2,5) has 374 subspaces and (2,14) about 4e15; (3,4) has 212
+    for q, d in ((2, 5), (2, 14), (3, 4), (2, 1000)):
+        with pytest.raises(ResourceLimitError):
+            subspace_lattice(q, d)
+
+
 # ---------------------------------------------------------------------------
 # Subspace lattices over F_q
 # ---------------------------------------------------------------------------
@@ -341,6 +414,16 @@ def test_subspace_counts_match_gaussian_binomials(q, d, count):
 def test_subspace_lattice_guard():
     with pytest.raises(ResourceLimitError):
         subspace_lattice(2, 15)
+
+
+@pytest.mark.parametrize("q,d", [(2, 4), (5, 2), (11, 2), (3, 3), (2, 6), (7, 1)])
+def test_subspace_count_guard_admits_up_to_128(q, d):
+    count = sum(gaussian_binomial(d, k, q) for k in range(d + 1))
+    if count <= 128:
+        assert len(subspace_lattice(q, d).elements) == count
+    else:
+        with pytest.raises(ResourceLimitError):
+            subspace_lattice(q, d)
 
 
 @pytest.mark.parametrize("q,d", [(2, 2), (3, 2), (2, 3)])
