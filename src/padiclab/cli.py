@@ -64,6 +64,7 @@ from .quantum_logic import (
     subspace_lattice,
 )
 from .resurgence import (
+    _check_order,
     borel_sum,
     euler_series_partial,
     general_solution,
@@ -82,6 +83,8 @@ from .valuations_product import (
 
 _RESIDUAL_TOL = "1e-16"
 _RESIDUAL_H = "1e-4"
+#: seminorm-check multiplies every ordered sample pair: samples**2 * (degree + 1)**2.
+_SEMINORM_WORK = 250_000
 
 
 # -- input grammars -----------------------------------------------------------
@@ -409,8 +412,7 @@ def _cmd_borel(args):
     t = args.t
     if args.table:
         top = args.order if args.order is not None else optimal_truncation_index(t) + 5
-        if top < 0:
-            raise DomainError("order must be >= 0")
+        _check_order(top)
         borel = borel_sum(t, tol=args.tol)
         rows = []
         for n in range(top + 1):
@@ -420,24 +422,13 @@ def _cmd_borel(args):
         text = "\n".join(f"{row['n']}\t{row['partial_sum']}\t{row['gap']}" for row in rows)
         return {"t": t, "method": "partial_sums_table", "rows": rows}, text
     if args.order is not None:
-        result = euler_series_partial(t, args.order)
-
-        def y(s):
-            return euler_series_partial(s, args.order).value
-
+        fn = lambda s, tol: euler_series_partial(s, args.order)
     elif args.a is not None:
-        result = general_solution(t, args.a, tol=args.tol)
-
-        def y(s):
-            return general_solution(s, args.a, tol=_RESIDUAL_TOL).value
-
+        fn = lambda s, tol: general_solution(s, args.a, tol)
     else:
-        result = borel_sum(t, tol=args.tol)
-
-        def y(s):
-            return borel_sum(s, tol=_RESIDUAL_TOL).value
-
-    residual = ode_residual(y, t, h=_RESIDUAL_H)
+        fn = borel_sum
+    result = fn(t, args.tol)
+    residual = ode_residual(lambda s: fn(s, _RESIDUAL_TOL).value, t, h=_RESIDUAL_H)
     payload = {
         "t": t,
         "method": result.method,
@@ -456,6 +447,8 @@ def _cmd_borel(args):
 def _cmd_seminorm_check(args):
     if args.degree < 0:
         raise DomainError("degree must be >= 0")
+    if max(args.samples, 0) ** 2 * (args.degree + 1) ** 2 > _SEMINORM_WORK:
+        raise ResourceLimitError(f"samples**2 * (degree + 1)**2 exceeds {_SEMINORM_WORK}")
     rng = random.Random(args.seed)
     samples = []
     for _ in range(args.samples):

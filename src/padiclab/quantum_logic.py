@@ -424,7 +424,8 @@ class FiniteLattice:
     when no two elements share a down-set.  The meet of a and b is the element
     whose down-set is ``down[a] & down[b]`` and the join is the dual on
     up-sets; both are tabulated for every pair, and construction fails if any
-    pair lacks one.  Instances are immutable after construction.
+    pair lacks one.  A query on a non-element raises ``DomainError``.
+    Instances are immutable after construction.
     """
 
     def __init__(self, elements, leq_fn, labels=None):
@@ -432,7 +433,8 @@ class FiniteLattice:
         self._index = {e: i for i, e in enumerate(els)}
         if len(self._index) != len(els):
             raise DomainError("elements must be distinct")
-        self._labels = dict(labels) if labels else {e: str(e) for e in els}
+        labels = dict(labels or ())
+        self._labels = {e: labels.get(e, str(e)) for e in els}
         down = self._down = [0] * len(els)
         up = [0] * len(els)
         for j, b in enumerate(els):
@@ -471,16 +473,32 @@ class FiniteLattice:
         return self._elements
 
     def label(self, e) -> str:
-        return self._labels[e]
+        try:
+            return self._labels[e]
+        except KeyError:
+            raise self._not_an_element(e) from None
 
     def leq(self, a, b) -> bool:
-        return bool(self._down[self._index[b]] >> self._index[a] & 1)
+        try:
+            return bool(self._down[self._index[b]] >> self._index[a] & 1)
+        except KeyError:
+            raise self._not_an_element(a, b) from None
 
     def meet(self, a, b):
-        return self._meet[(a, b)]
+        try:
+            return self._meet[(a, b)]
+        except KeyError:
+            raise self._not_an_element(a, b) from None
 
     def join(self, a, b):
-        return self._join[(a, b)]
+        try:
+            return self._join[(a, b)]
+        except KeyError:
+            raise self._not_an_element(a, b) from None
+
+    def _not_an_element(self, *args) -> DomainError:
+        bad = next(x for x in args if x not in self._index)
+        return DomainError(f"{bad!r} is not an element of the lattice")
 
 
 @dataclass(frozen=True)

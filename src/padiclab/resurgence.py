@@ -21,22 +21,26 @@ equation, (t - y) - t**2 y', collapses symbolically to the single monomial
 (-1)**(N+1) (N+1)! t**(N+2) — the omitted-term tail — and that cancellation
 is recomputed here with exact polynomial arithmetic rather than assumed.
 
-All floating work happens in mpmath at >= 30 significant digits.
+All floating work happens in mpmath at one precision, 40 digits; each halving
+of the trapezoid step reuses the old nodes, and the truncation index is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil
 
 from mpmath import mp, mpf
 
-from .errors import AccuracyError, DomainError, RangeError
-from .padic_core import RationalPolynomial
+from .errors import AccuracyError, DomainError, RangeError, ResourceLimitError
+from .padic_core import RationalPolynomial, _poly_eval
 
-#: Minimum working precision (significant decimal digits).
-DEFAULT_DPS = 30
+#: Working precision of every mpmath evaluation (significant decimal digits).
+WORKING_DPS = 40
 DEFAULT_TOL = "1e-10"
+#: Highest series order; each partial sum of order N costs O(N**2) digit work.
+MAX_SERIES_ORDER = 500
 #: e**(1/t) is refused as a summand below this t.
 GROWTH_GUARD_T = Fraction(1, 10**6)
 
@@ -48,6 +52,13 @@ def _to_mp(t):
         return mpf(t)
     except ValueError:
         raise DomainError(f"cannot parse real {t!r}") from None
+
+
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise DomainError("order must be >= 0")
+    if order > MAX_SERIES_ORDER:
+        raise ResourceLimitError(f"series order {order} exceeds the limit {MAX_SERIES_ORDER}")
 
 
 def _require_positive(t) -> mpf:
@@ -66,8 +77,7 @@ class EulerSeries:
 
     @classmethod
     def up_to(cls, order: int) -> "EulerSeries":
-        if order < 0:
-            raise DomainError("order must be >= 0")
+        _check_order(order)
         cs = [1]
         for m in range(1, order + 1):
             cs.append(-cs[-1] * m)
@@ -87,15 +97,12 @@ class SummationResult:
     error_estimate: mpf
 
 
-def euler_series_partial(t, order: int, dps: int = DEFAULT_DPS) -> SummationResult:
+def euler_series_partial(t, order: int) -> SummationResult:
     """S_N(t) with exact coefficients; error estimate = first omitted term."""
     series = EulerSeries.up_to(order)
-    with mp.workdps(max(dps, DEFAULT_DPS) + 5):
+    with mp.workdps(WORKING_DPS):
         tv = _require_positive(t)
-        acc = mpf(0)
-        for c in reversed(series.coefficients):
-            acc = acc * tv + c
-        value = acc * tv
+        value = _poly_eval(series.coefficients, tv) * tv
         omitted = mp.factorial(order + 1) * tv ** (order + 2)
         return SummationResult(value, f"partial_sum(N={order})", omitted)
 
@@ -103,37 +110,27 @@ def euler_series_partial(t, order: int, dps: int = DEFAULT_DPS) -> SummationResu
 def optimal_truncation_index(t) -> int:
     """The first index minimizing the term magnitude m! * t**(m+1).
 
-    Terms shrink while (m+1)*t < 1, so the minimum sits near 1/t; on exact
-    ties (t = 1/k) the smaller index is returned.
+    Term m+1 is (m+1)*t times term m, so the first minimizer is ceil(1/t) - 1
+    on the exact rational ``t`` (as ``Fraction`` reads it); on the ties
+    t = 1/k that is the smaller index.
     """
-    with mp.workdps(40):
-        tv = _require_positive(t)
-        m = max(0, int(mp.ceil(1 / tv - 1)))
-
-        def term(i):
-            return mp.factorial(i) * tv ** (i + 1)
-
-        # settle boundary rounding by comparing neighbours directly
-        while m > 0 and term(m - 1) <= term(m):
-            m -= 1
-        while term(m + 1) < term(m):
-            m += 1
-        return m
+    try:
+        tq = Fraction(t)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"cannot parse real {t!r}") from None
+    if not tq > 0:
+        raise DomainError("t must be positive")
+    return ceil(1 / tq) - 1
 
 
-def borel_sum(
-    t,
-    tol=DEFAULT_TOL,
-    dps: int = DEFAULT_DPS,
-    max_doublings: int = 14,
-) -> SummationResult:
+def borel_sum(t, tol=DEFAULT_TOL) -> SummationResult:
     """Borel-Laplace value of the series by double-exponential quadrature.
 
     Integrates exp(-u) * t/(1 + t*u) over u >= 0 with the substitution
     u = exp(w - exp(-w)), trapezoid on w in [-5, 5], doubling the node
     count until two successive estimates agree to ``tol`` (relative).
     """
-    with mp.workdps(max(dps, DEFAULT_DPS) + 10):
+    with mp.workdps(WORKING_DPS):
         tv = _require_positive(t)
         tolv = _to_mp(tol)
         width = mpf(5)
@@ -143,14 +140,12 @@ def borel_sum(
             u = mp.exp(w - ew)
             return mp.exp(-u) * tv / (1 + tv * u) * u * (1 + ew)
 
-        prev = None
-        n = 16
-        for _ in range(max_doublings):
-            h = 2 * width / n
-            est = h * (
-                (g(-width) + g(width)) / 2
-                + mp.fsum(g(-width + i * h) for i in range(1, n))
-            )
+        n, h, stride = 16, 2 * width / 16, 1
+        total, prev = (g(-width) + g(width)) / 2, None
+        for _ in range(14):  # 16, 32, ..., 16 * 2**13 nodes
+            # every interior node first; after each halving only the odd ones
+            total += mp.fsum(g(-width + i * h) for i in range(1, n, stride))
+            est = h * total
             if prev is not None:
                 # never certify below what the working precision resolves
                 certifiable = max(abs(est - prev), mp.eps * abs(est))
@@ -160,26 +155,24 @@ def borel_sum(
                     # estimates already agree to working precision; more
                     # nodes cannot close the remaining gap to tol
                     raise AccuracyError(
-                        f"tol={tol} is below the working precision at "
-                        f"dps={max(dps, DEFAULT_DPS)}",
+                        f"tol={tol} is below the working precision at dps={WORKING_DPS}",
                         achieved=certifiable,
                     )
-            prev = est
-            n *= 2
+            prev, n, h, stride = est, 2 * n, h / 2, 2
         raise AccuracyError(
-            f"quadrature did not reach tol={tol} within {n} nodes",
+            f"quadrature did not reach tol={tol} within {n // 2} nodes",
             achieved=abs(est - prev),
         )
 
 
-def exp_e1_oracle(t, dps: int = 40) -> mpf:
+def exp_e1_oracle(t) -> mpf:
     """exp(x)*E1(x) at x = 1/t by the classical continued fraction.
 
     Modified Lentz evaluation of x+1 - 1/(x+3 - 4/(x+5 - 9/(...))); the
     reciprocal is exp(x)E1(x).  This shares no code with the quadrature and
     serves as its independent oracle.
     """
-    with mp.workdps(max(dps, DEFAULT_DPS)):
+    with mp.workdps(WORKING_DPS):
         tv = _require_positive(t)
         x = 1 / tv
         tiny = mpf(10) ** (-2 * mp.dps)
@@ -203,14 +196,14 @@ def exp_e1_oracle(t, dps: int = 40) -> mpf:
         raise AccuracyError("continued fraction did not converge")
 
 
-def general_solution(t, a, tol=DEFAULT_TOL, dps: int = DEFAULT_DPS) -> SummationResult:
+def general_solution(t, a, tol=DEFAULT_TOL) -> SummationResult:
     """borel_sum(t) + a * exp(1/t): the two-parameter family of solutions.
 
     The homogeneous term satisfies t**2 y' = -y identically.  For very
     small t with a != 0 the exponential dwarfs every other scale, so the
     evaluation is refused rather than returned as noise.
     """
-    with mp.workdps(max(dps, DEFAULT_DPS) + 10):
+    with mp.workdps(WORKING_DPS):
         tv = _require_positive(t)
         av = _to_mp(a)
         if av != 0 and tv < _to_mp(GROWTH_GUARD_T):
@@ -218,26 +211,19 @@ def general_solution(t, a, tol=DEFAULT_TOL, dps: int = DEFAULT_DPS) -> Summation
                 f"exp(1/t) at t={t} exceeds any usable scale; "
                 "pass a=0 or t >= 1e-6"
             )
-        base = borel_sum(tv, tol=tol, dps=dps)
+        base = borel_sum(tv, tol=tol)
         value = base.value + av * mp.exp(1 / tv)
         return SummationResult(value, f"general(a={av})", base.error_estimate)
 
 
-def ode_residual(y, t, h="1e-4", dps: int = DEFAULT_DPS) -> mpf:
-    """|t**2 * (central difference of y) - (t - y(t))| at step h.
-
-    ``y`` is a callable on [t-h, t+h] or a sampled triple
-    (y(t-h), y(t), y(t+h)).
-    """
-    with mp.workdps(max(dps, DEFAULT_DPS) + 5):
+def ode_residual(y, t, h="1e-4") -> mpf:
+    """|t**2 * (central difference of y) - (t - y(t))| at step h, y a callable."""
+    with mp.workdps(WORKING_DPS):
         tv = _require_positive(t)
         hv = _to_mp(h)
         if not 0 < hv < tv:
             raise DomainError("need 0 < h < t")
-        if callable(y):
-            lo, mid, hi = y(tv - hv), y(tv), y(tv + hv)
-        else:
-            lo, mid, hi = (_to_mp(v) for v in y)
+        lo, mid, hi = y(tv - hv), y(tv), y(tv + hv)
         slope = (hi - lo) / (2 * hv)
         return abs(tv**2 * slope - (tv - mid))
 

@@ -228,6 +228,43 @@ def test_borel_json_schema():
     assert [row["n"] for row in table["rows"]] == [0, 1, 2, 3, 4, 5]
 
 
+BOREL_TEXT = {
+    ("--t", "1/10"): "y(1/10) = 0.091563333939788081876  [borel(nodes=64), "
+    "error_estimate 3.2446775e-14, ode_residual 8.1094336e-11]\n",
+    ("--t", "1/2"): "y(1/2) = 0.3613286168882225847  [borel(nodes=64), "
+    "error_estimate 1.6080272e-14, ode_residual 3.3846953e-10]\n",
+    ("--t", "1"): "y(1) = 0.59634736232319407434  [borel(nodes=64), "
+    "error_estimate 1.4506924e-14, ode_residual 4.1247382e-10]\n",
+    ("--t", "1/2", "--a", "1"): "y(1/2) = 7.7503847158188728119  [general(a=1.0), "
+    "error_estimate 1.6080272e-14, ode_residual 1.0833899e-6]\n",
+    ("--t", "1/10", "--order", "9"): "y(1/10) = 0.091545632  [partial_sum(N=9), "
+    "error_estimate 3.6288e-5, ode_residual 3.6288167e-5]\n",
+    ("--t", "1/10", "--table", "--order", "12"): "0\t0.1\t0.0084366661\n"
+    "1\t0.09\t0.0015633339\n"
+    "2\t0.092\t0.00043666606\n"
+    "3\t0.0914\t0.00016333394\n"
+    "4\t0.09164\t7.666606e-5\n"
+    "5\t0.09152\t4.333394e-5\n"
+    "6\t0.091592\t2.866606e-5\n"
+    "7\t0.0915416\t2.173394e-5\n"
+    "8\t0.09158192\t1.858606e-5\n"
+    "9\t0.091545632\t1.770194e-5\n"
+    "10\t0.09158192\t1.858606e-5\n"
+    "11\t0.0915420032\t2.133074e-5\n"
+    "12\t0.09158990336\t2.656942e-5\n",
+}
+
+
+@pytest.mark.parametrize("argv", list(BOREL_TEXT))
+def test_borel_text_pinned(argv):
+    assert run_cli("borel", *argv) == (0, BOREL_TEXT[argv], "")
+
+
+def test_borel_table_up_to_the_series_bound():
+    table = run_json("borel", "--t", "1/2", "--table", "--order", "500", schema="borel-table")
+    assert [row["n"] for row in table["rows"]] == list(range(501))
+
+
 def test_seminorm_json_schema():
     payload = run_json(
         "seminorm-check", "--p", "3", "--samples", "10", "--seed", "1",
@@ -303,6 +340,59 @@ def test_oversized_lattice_refused_fast(argv):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
     assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("json_mode", [False, True])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["borel", "--t", "1/2", "--order", "100000"],
+        ["borel", "--t", "1e-6", "--table"],
+        ["seminorm-check", "--samples", "10000"],
+        ["seminorm-check", "--degree", "100000"],
+    ],
+)
+def test_oversized_borel_and_seminorm_refused_fast(argv, json_mode):
+    # one process at a time; the refusal must come before any series or sample
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "padiclab", *argv, *(["--json"] if json_mode else [])],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    if json_mode:
+        payload = json.loads(proc.stderr)
+        load_schema("error").validate(payload)
+        assert payload["error_code"] == "resource_limit"
+    else:
+        assert proc.stderr.startswith("error: ")
+    assert elapsed < 2.0
+
+
+def test_oversized_borel_table_refused_before_any_row(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the order bound must refuse before any summation")
+
+    monkeypatch.setattr("padiclab.cli.borel_sum", unreachable)
+    monkeypatch.setattr("padiclab.cli.euler_series_partial", unreachable)
+    for argv in (["--t", "1e-6"], ["--t", "1/2", "--order", "501"]):
+        code, out, err = run_cli("borel", *argv, "--table")
+        assert (code, out) == (3, "")
+        assert "series order" in err
+
+
+@pytest.mark.parametrize("samples, degree", [(101, 4), (1, 500)])
+def test_seminorm_work_bound(samples, degree):
+    # samples**2 * (degree + 1)**2 just above 250000
+    code, out, err = run_cli(
+        "seminorm-check", "--samples", str(samples), "--degree", str(degree)
+    )
+    assert (code, out) == (3, "")
+    assert "exceeds 250000" in err
 
 
 @pytest.mark.parametrize(

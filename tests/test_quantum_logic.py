@@ -364,6 +364,30 @@ def test_invalid_orders_rejected(leq, message):
         FiniteLattice(range(3), leq)
 
 
+def test_meet_of_a_non_member_is_a_domain_error():
+    with pytest.raises(DomainError, match="'q' is not an element of the lattice"):
+        pentagon_lattice().meet("q", "x")
+
+
+def test_join_of_a_non_member_is_a_domain_error():
+    with pytest.raises(DomainError, match="'q' is not an element of the lattice"):
+        pentagon_lattice().join("x", "q")
+
+
+def test_leq_of_a_non_member_is_a_domain_error():
+    with pytest.raises(DomainError, match="7 is not an element of the lattice"):
+        FiniteLattice([1, 2, 3, 6], divides).leq(7, 6)
+
+
+def test_label_of_a_non_member_is_a_domain_error():
+    lat = subspace_lattice(2, 2)
+    assert lat.label(lat.elements[0]) == "0"
+    # an element the labels leave out keeps its str()
+    assert FiniteLattice([1, 2], divides, {1: "one"}).label(2) == "2"
+    with pytest.raises(DomainError, match="'q' is not an element of the lattice"):
+        lat.label("q")
+
+
 def test_distinct_elements_required():
     with pytest.raises(DomainError, match="elements must be distinct"):
         FiniteLattice([1, 1], divides)

@@ -21,6 +21,7 @@ from padiclab import (
     EulerSeries,
     RangeError,
     RationalPolynomial,
+    ResourceLimitError,
     borel_sum,
     euler_series_partial,
     exp_e1_oracle,
@@ -29,6 +30,7 @@ from padiclab import (
     optimal_truncation_index,
     truncated_series_defect,
 )
+from padiclab.resurgence import MAX_SERIES_ORDER
 
 small_t = st.fractions(min_value=Fraction(1, 50), max_value=Fraction(3), max_denominator=100)
 
@@ -67,6 +69,14 @@ def test_partial_sum_matches_direct_evaluation(t, n):
         assert mp.almosteq(got, expected, rel_eps=mp.mpf("1e-30"))
 
 
+def test_series_order_is_bounded():
+    assert EulerSeries.up_to(MAX_SERIES_ORDER).order == 500
+    with pytest.raises(ResourceLimitError, match="series order 501 exceeds the limit 500"):
+        euler_series_partial(Fraction(1, 2), 501)
+    with pytest.raises(ResourceLimitError):
+        truncated_series_defect(10**5)
+
+
 def test_divergence_term_scan():
     # at t = 0.1 the term magnitudes m! t^{m+1} shrink until m ~ 1/t, then blow up
     t = Fraction(1, 10)
@@ -100,6 +110,32 @@ def test_optimal_truncation_is_argmin(t):
     mag = lambda m: factorial(m) * t ** (m + 1)
     best = mag(m_star)
     assert all(best <= mag(m) for m in range(0, m_star + 25))
+
+
+def test_optimal_truncation_pinned_answers():
+    assert optimal_truncation_index(0.1) == 9
+    assert optimal_truncation_index(Fraction(1, 10)) == 9
+    # t = 10**-6 exactly: terms 999999 and 1000000 tie, the smaller wins
+    assert optimal_truncation_index("1e-6") == 999999
+
+
+TRUNCATION_GRID = sorted(
+    {Fraction(1, k) for k in range(1, 200)}
+    | {Fraction(2, k + 1) for k in range(1, 200)}
+    | {Fraction(k, 7) for k in range(1, 200)}
+)
+
+
+def test_optimal_truncation_is_first_exact_minimizer():
+    # brute force over exact terms, well past the turning point near 1/t
+    for t in TRUNCATION_GRID:
+        first = min(range(int(2 / t) + 3), key=lambda m: factorial(m) * t ** (m + 1))
+        assert optimal_truncation_index(t) == first, t
+
+
+def test_optimal_truncation_rejects_unparsable():
+    with pytest.raises(DomainError, match="cannot parse real 'abc'"):
+        optimal_truncation_index("abc")
 
 
 def test_optimal_truncation_rejects_nonpositive():
@@ -136,6 +172,30 @@ def test_borel_matches_e1_oracle(t):
 def test_borel_satisfies_ode(t):
     res = ode_residual(lambda u: borel_sum(u).value, t, Fraction(1, 10**4))
     assert res < mp.mpf("1e-6")
+
+
+@pytest.mark.parametrize("t", ORACLE_GRID)
+@pytest.mark.parametrize("tol", ["1e-10", "1e-16"])
+def test_borel_evaluates_each_node_once(monkeypatch, t, tol):
+    # the integrand takes three exponentials per node; borel_sum takes no others
+    calls = []
+    exp = mp.exp
+    monkeypatch.setattr(mp, "exp", lambda x: calls.append(x) or exp(x))
+    result = borel_sum(t, tol)
+    monkeypatch.undo()
+    nodes = int(result.method.removeprefix("borel(nodes=").removesuffix(")"))
+    assert len(calls) == 3 * (nodes + 1)
+    # and the running sum is the plain trapezoid rule on those N + 1 nodes
+    with mp.workdps(40):
+        tv, h = mp.mpf(t.numerator) / t.denominator, mp.mpf(10) / nodes
+
+        def g(w):
+            u = mp.exp(w - mp.exp(-w))
+            return mp.exp(-u) * tv / (1 + tv * u) * u * (1 + mp.exp(-w))
+
+        ends = (g(mp.mpf(-5)) + g(mp.mpf(5))) / 2
+        plain = h * (ends + mp.fsum(g(-5 + i * h) for i in range(1, nodes)))
+        assert abs(result.value - plain) <= mp.mpf("1e-36") * plain
 
 
 def test_borel_rejects_nonpositive_t():
