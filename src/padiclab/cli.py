@@ -64,8 +64,8 @@ from .quantum_logic import (
     subspace_lattice,
 )
 from .resurgence import (
-    _check_order,
     borel_sum,
+    euler_partial_sums,
     euler_series_partial,
     general_solution,
     ode_residual,
@@ -85,6 +85,8 @@ _RESIDUAL_TOL = "1e-16"
 _RESIDUAL_H = "1e-4"
 #: seminorm-check multiplies every ordered sample pair: samples**2 * (degree + 1)**2.
 _SEMINORM_WORK = 250_000
+#: CPython converts an int of at most 4300 decimal digits to text.
+_PRINTABLE = 10**4300
 
 
 # -- input grammars -----------------------------------------------------------
@@ -217,6 +219,14 @@ def _fmt(x, digits: int = 20) -> str:
         return mp.nstr(mp.mpf(x), digits)
 
 
+def _check_printable(p: int, e: int) -> None:
+    """Refuse, before any work, a result whose integers (all below p**e) CPython won't print."""
+    p, e = abs(p), max(e, 0)
+    # p**e >= 2**(e * (bits - 1)), so the first test keeps p**e itself small
+    if e * (p.bit_length() - 1) >= _PRINTABLE.bit_length() or p**e > _PRINTABLE:
+        raise ResourceLimitError(f"{p}**{e} exceeds 4300 decimal digits, too many to print")
+
+
 # -- handlers ------------------------------------------------------------------
 
 
@@ -250,19 +260,19 @@ def _cmd_norm(args):
 
 
 def _cmd_hensel(args):
+    _check_printable(args.p, args.k + 1)
     trace = hensel_lift(parse_polynomial(args.poly), args.x0, args.p, args.k)
-    lines = [
-        f"x_{i} = {x} (mod {args.p}^{i + 1})" for i, x in enumerate(trace.residues)
-    ]
-    lines.append(f"x_{trace.k} = {trace.render_sum()}")
+    residues, total = trace.residues, trace.render_sum()
+    lines = [f"x_{i} = {x} (mod {args.p}^{i + 1})" for i, x in enumerate(residues)]
+    lines.append(f"x_{trace.k} = {total}")
     payload = {
         "poly": args.poly,
         "p": args.p,
         "x0": args.x0,
         "k": args.k,
         "digits": list(trace.digits),
-        "residues": list(trace.residues),
-        "sum": trace.render_sum(),
+        "residues": list(residues),
+        "sum": total,
     }
     return payload, "\n".join(lines)
 
@@ -320,23 +330,20 @@ def _code_payload(code: HenselCode):
     )
 
 
-def _cmd_code_encode(args):
-    return _code_payload(encode(parse_rational(args.x), args.p, args.r))
-
-
 def _cmd_code_decode(args):
+    _check_printable(args.p, args.r)
     value = decode(HenselCode(args.p, args.r, args.value))
     payload = {"p": args.p, "r": args.r, "value": args.value, "rational": _rat_pair(value)}
     return payload, str(value)
 
 
-def _code_binary(fn):
-    """Handler for a code op ``fn(x, y)`` on the codes of two rationals."""
+def _code_op(fn, *operands):
+    """Handler for ``fn`` on the codes of the rationals named by ``operands``."""
 
     def handler(args):
-        x = encode(parse_rational(args.x), args.p, args.r)
-        y = encode(parse_rational(args.y), args.p, args.r)
-        return _code_payload(fn(x, y))
+        _check_printable(args.p, args.r)
+        codes = [encode(parse_rational(getattr(args, a)), args.p, args.r) for a in operands]
+        return _code_payload(fn(*codes))
 
     return handler
 
@@ -412,13 +419,12 @@ def _cmd_borel(args):
     t = args.t
     if args.table:
         top = args.order if args.order is not None else optimal_truncation_index(t) + 5
-        _check_order(top)
+        partials = euler_partial_sums(t, top)
         borel = borel_sum(t, tol=args.tol)
-        rows = []
-        for n in range(top + 1):
-            partial = euler_series_partial(t, n).value
-            gap = abs(partial - borel.value)
-            rows.append({"n": n, "partial_sum": _fmt(partial), "gap": _fmt(gap, 8)})
+        rows = [
+            {"n": n, "partial_sum": _fmt(s), "gap": _fmt(abs(s - borel.value), 8)}
+            for n, s in enumerate(partials)
+        ]
         text = "\n".join(f"{row['n']}\t{row['partial_sum']}\t{row['gap']}" for row in rows)
         return {"t": t, "method": "partial_sums_table", "rows": rows}, text
     if args.order is not None:
@@ -556,10 +562,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     code = group("code", "r-digit residue codes for rationals")
-    leaf(code, "encode", _cmd_code_encode, "x", p=True, r=True)
+    leaf(code, "encode", _code_op(lambda x: x, "x"), "x", p=True, r=True)
     leaf(code, "decode", _cmd_code_decode, ("value", int), p=True, r=True)
     for op, fn in (("add", code_add), ("sub", code_sub), ("mul", code_mul), ("div", code_div)):
-        leaf(code, op, _code_binary(fn), "x", "y", p=True, r=True)
+        leaf(code, op, _code_op(fn, "x", "y"), "x", "y", p=True, r=True)
 
     pauli = group("pauli", "exact Pauli-group algebra")
     leaf(pauli, "mul", _cmd_pauli_mul, "x", "y")

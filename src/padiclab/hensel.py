@@ -1,4 +1,4 @@
-"""Digit-by-digit Hensel lifting of simple polynomial roots mod p**k.
+"""Hensel lifting of simple polynomial roots mod p**k.
 
 A root x0 of f mod p with f'(x0) != 0 mod p lifts uniquely: at step i the
 next digit is ``b_i = -(f(x_{i-1}) / p**i) * f'(x0)**-1 mod p``, giving
@@ -6,9 +6,10 @@ residues with ``f(x_i) == 0 mod p**(i+1)`` and the coherence condition
 ``x_i == x_{i-1} mod p**i``.  The inverse of f'(x0) mod p is computed once;
 for a simple root f'(x_i) stays congruent to it.
 
-The linear one-digit-at-a-time scheme is the primary algorithm; a quadratic
-Newton iteration (precision doubling) is provided as a fast path and must
-reproduce the same digits — the test suite compares the two.
+A lift returns only the root mod p**(k+1); ``LiftTrace`` reads the digits
+b_i and the residues x_i = root mod p**(i+1) off it.  The linear scheme is
+the primary algorithm; Newton iteration (precision doubling) must give the
+same root — the tests compare the two — and is the route ``sqrt_padic`` takes.
 
 Polynomials are given as integer coefficient sequences, index i = the
 coefficient of x**i (a ``RationalPolynomial`` with integer entries is also
@@ -19,8 +20,9 @@ residue come from the shared helpers in ``padic_core``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .errors import DomainError, NotARootError, SingularRootError
+from .errors import DomainError, NotARootError, ResourceLimitError, SingularRootError
 from .padic_core import (
     PadicNumber,
     RationalPolynomial,
@@ -32,6 +34,8 @@ from .padic_core import (
     require_prime,
 )
 
+#: roots_mod_p tries every residue mod p, so it refuses a larger p.
+ROOT_SCAN_LIMIT = 2**20
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
 
@@ -49,33 +53,33 @@ def _int_coeffs(f) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class LiftTrace:
-    """Digits b_i and residues x_i = sum_{j<=i} b_j p**j of a lift."""
+    """A lift of a simple root: ``root`` is the root mod p**(k+1)."""
 
     p: int
     f: tuple[int, ...]
-    digits: tuple[int, ...]
-    residues: tuple[int, ...]
+    k: int
+    root: int
 
     def __post_init__(self):
         require_prime(self.p)
-        if len(self.digits) != len(self.residues):
-            raise DomainError("digit and residue vectors must have equal length")
+        if not (self.k >= 0 and 0 <= self.root < self.p ** (self.k + 1)):
+            raise DomainError("a lift needs k >= 0 and a root in [0, p**(k+1))")
 
     @property
-    def k(self) -> int:
-        """Final exponent: the last residue is a root mod p**(k+1)."""
-        return len(self.residues) - 1
+    def digits(self) -> tuple[int, ...]:
+        """The digits b_0, ..., b_k: the base-p digits of the root."""
+        return _digits(self.root, self.p, self.k + 1)
 
     @property
-    def root(self) -> int:
-        return self.residues[-1]
+    def residues(self) -> tuple[int, ...]:
+        """The residues x_i = sum_{j<=i} b_j p**j = root mod p**(i+1)."""
+        return tuple(accumulate(b * self.p**i for i, b in enumerate(self.digits)))
 
-    def as_padic(self, r: int | None = None) -> PadicNumber:
-        """The lifted root as a p-adic number to r digits (default: all)."""
-        r = len(self.digits) if r is None else r
-        if not 1 <= r <= len(self.digits):
-            raise DomainError(f"trace guarantees only {len(self.digits)} digits")
-        x = self.residues[-1] % self.p**r
+    def as_padic(self, r: int) -> PadicNumber:
+        """The lifted root as a p-adic number to r digits."""
+        if not 1 <= r <= self.k + 1:
+            raise DomainError(f"trace guarantees only {self.k + 1} digits")
+        x = self.root % self.p**r
         if x == 0:
             return PadicNumber.zero(self.p, r)
         v = _int_valuation(x, self.p)
@@ -83,8 +87,9 @@ class LiftTrace:
 
     def render_sum(self) -> str:
         """Textbook-style sum of digit terms, e.g. ``3 + 7·1 + 7²·2``."""
-        parts = [str(self.digits[0])]
-        for i, b in enumerate(self.digits[1:], start=1):
+        first, *rest = self.digits
+        parts = [str(first)]
+        for i, b in enumerate(rest, start=1):
             if b == 0:
                 continue
             power = str(self.p) if i == 1 else f"{self.p}{str(i).translate(_SUPERSCRIPTS)}"
@@ -95,6 +100,8 @@ class LiftTrace:
 def roots_mod_p(f, p: int) -> list[int]:
     """All residues x in [0, p) with f(x) == 0 mod p, by exhaustion."""
     require_prime(p)
+    if p > ROOT_SCAN_LIMIT:
+        raise ResourceLimitError(f"the root scan is limited to p <= {ROOT_SCAN_LIMIT}, got {p}")
     coeffs = _int_coeffs(f)
     if all(c % p == 0 for c in coeffs):
         raise DomainError(f"f vanishes identically mod {p}; every residue is a root")
@@ -105,11 +112,9 @@ def hensel_lift(f, x0: int, p: int, k: int, method: str = "digit") -> LiftTrace:
     """Lift the simple root x0 of f mod p to a root mod p**(k+1).
 
     ``method`` selects the linear digit-by-digit scheme (default) or the
-    quadratic ``"newton"`` fast path; both yield identical traces.
+    quadratic ``"newton"`` fast path; both return the same root.
     """
     require_prime(p)
-    if k < 0:
-        raise DomainError("target exponent must be >= 0")
     coeffs = _int_coeffs(f)
     x0 %= p
     if _poly_eval(coeffs, x0, p) != 0:
@@ -121,31 +126,25 @@ def hensel_lift(f, x0: int, p: int, k: int, method: str = "digit") -> LiftTrace:
             f"f'({x0}) == 0 mod {p}: the simple-root scheme does not apply"
         )
     if method == "digit":
-        residues = _lift_linear(coeffs, x0, p, k, pow(d0, -1, p))
+        root = _lift_linear(coeffs, x0, p, k, pow(d0, -1, p))
     elif method == "newton":
-        residues = _lift_newton(coeffs, x0, p, k)
+        root = _lift_newton(coeffs, deriv, x0, p, k)
     else:
         raise DomainError(f"unknown lifting method {method!r}")
-    # residues[i] is residues[-1] mod p**(i+1), so the digits are its base-p digits
-    return LiftTrace(p, coeffs, _digits(residues[-1], p, k + 1), tuple(residues))
+    return LiftTrace(p, coeffs, k, root)
 
 
-def _lift_linear(coeffs, x0: int, p: int, k: int, inv_d0: int) -> list[int]:
-    residues = [x0]
-    x = x0
-    for i in range(1, k + 1):
-        m = p ** (i + 1)
-        fx = _poly_eval(coeffs, x, m)
-        b = (-(fx // p**i) * inv_d0) % p
-        x = x + b * p**i
-        residues.append(x)
-    return residues
+def _lift_linear(coeffs, x0: int, p: int, k: int, inv_d0: int) -> int:
+    x, power = x0, p  # power = p**i at step i
+    for _ in range(k):
+        fx = _poly_eval(coeffs, x, power * p)
+        x += (-(fx // power) * inv_d0) % p * power
+        power *= p
+    return x
 
 
-def _lift_newton(coeffs, x0: int, p: int, k: int) -> list[int]:
-    # precision doubling: x <- x - f(x)/f'(x) mod p**(2e), then read the
-    # intermediate residues back off the final one
-    deriv = _poly_derivative(coeffs)
+def _lift_newton(coeffs, deriv, x0: int, p: int, k: int) -> int:
+    # precision doubling: x <- x - f(x)/f'(x) mod p**(2e)
     x, e = x0, 1
     while e < k + 1:
         e = min(2 * e, k + 1)
@@ -153,7 +152,7 @@ def _lift_newton(coeffs, x0: int, p: int, k: int) -> list[int]:
         fx = _poly_eval(coeffs, x, m)
         dx = _poly_eval(deriv, x, m)
         x = (x - fx * pow(dx, -1, m)) % m
-    return [x % p ** (i + 1) for i in range(k + 1)]
+    return x
 
 
 def sqrt_padic(a: int, p: int, r: int) -> list[PadicNumber]:
@@ -170,4 +169,4 @@ def sqrt_padic(a: int, p: int, r: int) -> list[PadicNumber]:
     if a % p == 0:
         raise DomainError(f"gcd(a, {p}) must be 1")
     f = (-a, 0, 1)  # x**2 - a
-    return [hensel_lift(f, x0, p, r - 1).as_padic(r) for x0 in roots_mod_p(f, p)]
+    return [hensel_lift(f, x, p, r - 1, "newton").as_padic(r) for x in roots_mod_p(f, p)]

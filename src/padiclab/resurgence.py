@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import ceil
 
 from mpmath import mp, mpf
@@ -54,13 +55,6 @@ def _to_mp(t):
         raise DomainError(f"cannot parse real {t!r}") from None
 
 
-def _check_order(order: int) -> None:
-    if order < 0:
-        raise DomainError("order must be >= 0")
-    if order > MAX_SERIES_ORDER:
-        raise ResourceLimitError(f"series order {order} exceeds the limit {MAX_SERIES_ORDER}")
-
-
 def _require_positive(t) -> mpf:
     t = _to_mp(t)
     if not t > 0:
@@ -77,7 +71,10 @@ class EulerSeries:
 
     @classmethod
     def up_to(cls, order: int) -> "EulerSeries":
-        _check_order(order)
+        if order < 0:
+            raise DomainError("order must be >= 0")
+        if order > MAX_SERIES_ORDER:
+            raise ResourceLimitError(f"series order {order} exceeds the limit {MAX_SERIES_ORDER}")
         cs = [1]
         for m in range(1, order + 1):
             cs.append(-cs[-1] * m)
@@ -105,6 +102,14 @@ def euler_series_partial(t, order: int) -> SummationResult:
         value = _poly_eval(series.coefficients, tv) * tv
         omitted = mp.factorial(order + 1) * tv ** (order + 2)
         return SummationResult(value, f"partial_sum(N={order})", omitted)
+
+
+def euler_partial_sums(t, order: int) -> list[mpf]:
+    """S_0(t), ..., S_N(t) with exact coefficients, as one running sum."""
+    coefficients = EulerSeries.up_to(order).coefficients
+    with mp.workdps(WORKING_DPS):
+        tv = _require_positive(t)
+        return list(accumulate(c * tv ** (m + 1) for m, c in enumerate(coefficients)))
 
 
 def optimal_truncation_index(t) -> int:

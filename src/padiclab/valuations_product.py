@@ -9,10 +9,11 @@ irreducible polynomials over F_p plus the degree place, with
 product telescope to 1.
 
 Everything is computed as exact ``Fraction`` values in a single pass; no
-logarithms.  Integer factorization is exact and self-verifying (each factor
-passes ``padic_core.is_prime``, the package's one primality test, and the
-product reconstructs the input); polynomial factorization is trial division
-against monic irreducibles enumerated by an ascending-degree sieve.
+logarithms.  Integer factorization trial-divides by the Miller-Rabin bases
+(the primes up to 37), splits the rest by Brent's rho, and is self-verifying:
+each factor passes ``padic_core.is_prime`` and the product reconstructs the
+input.  Polynomial factorization is trial division against monic
+irreducibles enumerated by an ascending-degree sieve.
 ``FqPolynomial`` arithmetic, evaluation and rendering, and the base-p
 digits of its coefficient vectors, use the shared helpers in ``padic_core``.
 """
@@ -26,6 +27,7 @@ from functools import lru_cache
 
 from .errors import DomainError, NotPrimeError, ResourceLimitError
 from .padic_core import (
+    _MR_BASES,
     Valuation,
     _digits,
     _poly_add,
@@ -43,17 +45,6 @@ POLY_DEGREE_LIMIT = 16
 # enumerate_irreducibles sieves p**d monic candidates of degree d
 _IRREDUCIBLE_ENUM_LIMIT = 10**6
 
-
-def _sieve(limit: int) -> list[int]:
-    flags = bytearray([1]) * limit
-    flags[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(limit) + 1):
-        if flags[i]:
-            flags[i * i :: i] = bytes(len(flags[i * i :: i]))
-    return [i for i in range(limit) if flags[i]]
-
-
-_SMALL_PRIMES = _sieve(10**4)
 
 def _brent_rho(n: int) -> int:
     """A nontrivial factor of an odd composite n (Brent's cycle method)."""
@@ -114,9 +105,9 @@ class PrimeFactorization:
 def factor(n: int) -> PrimeFactorization:
     """Exact factorization of a nonzero integer with |n| <= 10**18.
 
-    Small primes come off by trial division; any remaining cofactor is
-    split recursively by Brent's rho method with deterministic
-    Miller-Rabin certifying the leaves.
+    The Miller-Rabin bases (the primes up to 37) come off by trial
+    division; any remaining cofactor is split recursively by Brent's rho
+    method with deterministic Miller-Rabin certifying the leaves.
     """
     if n == 0:
         raise DomainError("zero has no prime factorization")
@@ -125,22 +116,19 @@ def factor(n: int) -> PrimeFactorization:
     sign = -1 if n < 0 else 1
     m = abs(n)
     counts: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        if p * p > m:
-            break
+    for p in _MR_BASES:
         while m % p == 0:
             m //= p
             counts[p] = counts.get(p, 0) + 1
-    if m > 1:
-        stack = [m]
-        while stack:
-            v = stack.pop()
-            if is_prime(v):
-                counts[v] = counts.get(v, 0) + 1
-                continue
-            d = _brent_rho(v)
-            stack.append(d)
-            stack.append(v // d)
+    stack = [m] if m > 1 else []
+    while stack:
+        v = stack.pop()
+        if is_prime(v):
+            counts[v] = counts.get(v, 0) + 1
+            continue
+        d = _brent_rho(v)
+        stack.append(d)
+        stack.append(v // d)
     return PrimeFactorization(sign, tuple(sorted(counts.items())))
 
 

@@ -373,6 +373,75 @@ def test_oversized_borel_and_seminorm_refused_fast(argv, json_mode):
     assert elapsed < 2.0
 
 
+@pytest.mark.parametrize("json_mode", [False, True])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sqrt", "2", "--p", "4294967291", "--r", "2"],
+        ["hensel", "--poly", "x^2-2", "--p", "7", "--x0", "3", "--k", "10000"],
+        ["code", "encode", "2/3", "--p", "5", "--r", "20000"],
+    ],
+)
+def test_oversized_sqrt_hensel_and_code_refused_fast(argv, json_mode):
+    # one process at a time; each refusal must come before the scan or the lift
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "padiclab", *argv, *(["--json"] if json_mode else [])],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    if json_mode:
+        payload = json.loads(proc.stderr)
+        load_schema("error").validate(payload)
+        assert payload["error_code"] == "resource_limit"
+    else:
+        assert proc.stderr.startswith("error: ")
+    assert elapsed < 2.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 7**5088 < 10**4300 < 7**5089 and 5**6151 < 10**4300 < 5**6152
+        ["hensel", "--poly", "x^2-2", "--p", "7", "--x0", "3", "--k", "5088"],
+        ["code", "encode", "2/3", "--p", "2", "--r", "14285"],
+        ["code", "decode", "5", "--p", "2", "--r", "14285"],
+        ["code", "add", "1/3", "2/3", "--p", "5", "--r", "6152"],
+        ["code", "sub", "1/3", "2/3", "--p", "5", "--r", "6152"],
+        ["code", "mul", "1/3", "2/3", "--p", "5", "--r", "6152"],
+        ["code", "div", "1/3", "2/3", "--p", "5", "--r", "1000000000"],
+    ],
+)
+def test_unprintable_results_refused_before_any_work(argv, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the print bound must refuse before any lift or code")
+
+    for name in ("hensel_lift", "encode", "decode"):
+        monkeypatch.setattr(f"padiclab.cli.{name}", unreachable)
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (3, "")
+    assert "exceeds 4300 decimal digits" in err
+
+
+def test_results_at_the_print_bound_still_print():
+    # 2**14284 < 10**4300 < 2**14285
+    code, out, err = run_cli("code", "encode", "2/3", "--p", "2", "--r", "14284")
+    assert code == 0, err
+    value = int(out.split()[0])
+    assert 3 * value % 2**14284 == 2
+    assert len(str(value)) <= 4300
+    payload = run_json("code", "encode", "2/3", "--p", "2", "--r", "14284", schema="code")
+    assert payload["value"] == value
+    payload = run_json("hensel", "--poly", "x^2-2", "--p", "7", "--x0", "3", "--k", "300",
+                       schema="hensel")
+    assert payload["residues"][-1] ** 2 % 7**301 == 2
+
+
 def test_oversized_borel_table_refused_before_any_row(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the order bound must refuse before any summation")

@@ -7,19 +7,24 @@ cases are cross-checked against brute-force root enumeration mod p^k.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padiclab import (
     DomainError,
+    LiftTrace,
     NotARootError,
+    ResourceLimitError,
     SingularRootError,
     hensel_lift,
     roots_mod_p,
     sqrt_padic,
     to_expansion_string,
 )
+from padiclab.hensel import ROOT_SCAN_LIMIT
 
 X2_MINUS_2 = (-2, 0, 1)  # coefficients ascending: f(x) = x^2 - 2
 
@@ -161,6 +166,56 @@ def test_newton_path_agrees_with_linear(case):
         assert linear.residues == newton.residues
 
 
+deep_lift_cases = st.tuples(
+    st.lists(st.integers(-30, 30), min_size=2, max_size=5),
+    st.sampled_from([2, 3, 5, 7, 11, 13]),
+    st.integers(0, 300),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=deep_lift_cases)
+def test_newton_root_equals_digit_root_up_to_k300(case):
+    coeffs, p, k = case
+    if all(c % p == 0 for c in coeffs):
+        return
+    deriv = [i * c for i, c in enumerate(coeffs)][1:]
+    for x0 in roots_mod_p(tuple(coeffs), p):
+        if poly_eval(deriv, x0) % p == 0:
+            continue
+        linear = hensel_lift(tuple(coeffs), x0, p, k, method="digit")
+        newton = hensel_lift(tuple(coeffs), x0, p, k, method="newton")
+        assert linear == newton
+        assert 0 <= linear.root < p ** (k + 1)
+        assert poly_eval(coeffs, linear.root) % p ** (k + 1) == 0
+        assert linear.root % p == x0
+
+
+def test_trace_keeps_only_the_root():
+    assert [f.name for f in dataclasses.fields(LiftTrace)] == ["p", "f", "k", "root"]
+    trace = LiftTrace(7, X2_MINUS_2, 2, 108)
+    assert trace == hensel_lift(X2_MINUS_2, 3, 7, 2)
+    assert trace.digits == (3, 1, 2)
+    assert trace.residues == (3, 10, 108)
+    assert trace.render_sum() == "3 + 7·1 + 7²·2"
+    assert trace.as_padic(2).unit == (3, 1)
+
+
+@pytest.mark.parametrize(
+    "k, root",
+    [(2, 7**3), (2, 7**3 + 108), (2, -1), (-1, 0), (-1, 3), (0, 7)],
+)
+def test_trace_rejects_root_outside_the_modulus_and_negative_k(k, root):
+    with pytest.raises(DomainError):
+        LiftTrace(7, X2_MINUS_2, k, root)
+
+
+def test_lift_rejects_negative_k():
+    for method in ("digit", "newton"):
+        with pytest.raises(DomainError):
+            hensel_lift(X2_MINUS_2, 3, 7, -1, method=method)
+
+
 def test_as_padic_matches_digits():
     trace = hensel_lift(X2_MINUS_2, 3, 7, 2)
     x = trace.as_padic(3)
@@ -211,3 +266,35 @@ def test_sqrt_squares_back(a, p, r):
         assert x.unit_value**2 % p**r == a % p**r
     if len(roots) == 2:
         assert roots[0] == -roots[1]
+
+
+@given(
+    a=st.integers(1, 10**6),
+    p=st.sampled_from([3, 5, 7, 11, 13, 101]),
+    r=st.integers(1, 60),
+)
+def test_sqrt_equals_the_digit_lift_roots(a, p, r):
+    if a % p == 0:
+        return
+    f = (-a, 0, 1)
+    expected = [
+        hensel_lift(f, x0, p, r - 1, method="digit").as_padic(r) for x0 in roots_mod_p(f, p)
+    ]
+    assert sqrt_padic(a, p, r) == expected
+
+
+def test_sqrt_lifts_by_newton(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("sqrt_padic needs only the root: the Newton route")
+
+    monkeypatch.setattr("padiclab.hensel._lift_linear", unreachable)
+    assert [to_expansion_string(x) for x in sqrt_padic(2, 7, 3)] == ["3,12", "4,54"]
+
+
+def test_root_scan_is_bounded():
+    assert ROOT_SCAN_LIMIT == 2**20
+    # 1048583 is the least prime above 2**20
+    with pytest.raises(ResourceLimitError, match="root scan"):
+        roots_mod_p(X2_MINUS_2, 1048583)
+    with pytest.raises(ResourceLimitError, match="root scan"):
+        sqrt_padic(2, 4294967291, 2)

@@ -30,7 +30,7 @@ from padiclab import (
     optimal_truncation_index,
     truncated_series_defect,
 )
-from padiclab.resurgence import MAX_SERIES_ORDER
+from padiclab.resurgence import MAX_SERIES_ORDER, euler_partial_sums
 
 small_t = st.fractions(min_value=Fraction(1, 50), max_value=Fraction(3), max_denominator=100)
 
@@ -67,6 +67,26 @@ def test_partial_sum_matches_direct_evaluation(t, n):
         )
         got = euler_series_partial(t, n).value
         assert mp.almosteq(got, expected, rel_eps=mp.mpf("1e-30"))
+
+
+@pytest.mark.parametrize("t", [Fraction(1, 10), Fraction(1, 2), Fraction(2, 7), 1, "0.05"])
+def test_running_partial_sums_match_each_partial_sum(t):
+    sums = euler_partial_sums(t, 200)
+    assert len(sums) == 201
+    with mp.workdps(40):
+        for n, s in enumerate(sums):
+            expected = euler_series_partial(t, n).value
+            assert mp.almosteq(s, expected, rel_eps=mp.mpf("1e-35")), n
+
+
+def test_running_partial_sums_guards():
+    assert len(euler_partial_sums(Fraction(1, 2), MAX_SERIES_ORDER)) == 501
+    with pytest.raises(ResourceLimitError, match="series order 501 exceeds the limit 500"):
+        euler_partial_sums(Fraction(1, 2), 501)
+    with pytest.raises(DomainError):
+        euler_partial_sums(Fraction(1, 2), -1)
+    with pytest.raises(DomainError):
+        euler_partial_sums(0, 3)
 
 
 def test_series_order_is_bounded():

@@ -7,6 +7,7 @@ and comparing them place-by-place is deliberate.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,23 @@ def test_factor_large_semiprime():
     p, q = 1_000_003, 999_999_937
     f = factor(p * q)
     assert f.as_dict() == {p: 1, q: 1}
+
+
+def test_factor_matches_sympy_factorint():
+    # trial division stops at 37, so primes in (37, 10**4) reach Brent's rho
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20260)
+    sample = [9973**2, 10007 * 9973, 41 * 43, 41**3 * 43**2 * 2**5, 37**2 * 41, 1681, 1]
+    sample += [rng.randrange(1, 10**18) for _ in range(150)]
+    sample += [rng.choice([-1, 1]) * rng.randrange(1, 10**6) for _ in range(150)]
+    sample += [
+        rng.randrange(38, 10**4) * rng.randrange(38, 10**4) * rng.randrange(1, 10**4)
+        for _ in range(150)
+    ]
+    for n in sample:
+        f = factor(n)
+        assert f.as_dict() == sympy.factorint(abs(n)), n
+        assert f.sign == (1 if n > 0 else -1)
 
 
 @given(n=st.integers(-10**12, 10**12).filter(lambda n: n != 0))
