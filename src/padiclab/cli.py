@@ -85,22 +85,34 @@ _RESIDUAL_TOL = "1e-16"
 _RESIDUAL_H = "1e-4"
 #: seminorm-check multiplies every ordered sample pair: samples**2 * (degree + 1)**2.
 _SEMINORM_WORK = 250_000
-#: CPython converts an int of at most 4300 decimal digits to text.
+#: CPython converts an int of at most 4300 decimal digits to or from text.
 _PRINTABLE = 10**4300
+#: parse_polynomial builds a dense coefficient list up to the largest exponent.
+_MAX_EXPONENT = 10**4
 
 
 # -- input grammars -----------------------------------------------------------
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
+
+
+def _parse_int(s: str) -> int:
+    """int(s) for a [sign]digits literal, refused past CPython's 4300-digit limit."""
+    try:
+        return int(s)
+    except ValueError:
+        raise ResourceLimitError("integer literal exceeds 4300 decimal digits") from None
 
 
 def parse_rational(s: str) -> Fraction:
     """Grammar: [-]digits[/digits]."""
     s = s.strip()
-    if not _RATIONAL_RE.fullmatch(s):
+    m = _RATIONAL_RE.fullmatch(s)
+    if not m:
         raise DomainError(f"cannot parse rational {s!r}")
+    num, den = m.groups()
     try:
-        return Fraction(s)
+        return Fraction(_parse_int(num), _parse_int(den or "1"))
     except ZeroDivisionError:
         raise DomainError(f"zero denominator in {s!r}") from None
 
@@ -119,8 +131,10 @@ def parse_polynomial(s: str) -> tuple[int, ...]:
         if not m or (m.group(2) is None and m.group(3) is None):
             raise DomainError(f"cannot parse polynomial term {part!r}")
         sign, num, xpart, exp = m.groups()
-        degree = 0 if xpart is None else (1 if exp is None else int(exp))
-        c = 1 if num is None else int(num)
+        degree = 0 if xpart is None else (1 if exp is None else _parse_int(exp))
+        if degree > _MAX_EXPONENT:
+            raise ResourceLimitError(f"exponent {degree} exceeds {_MAX_EXPONENT}")
+        c = 1 if num is None else _parse_int(num)
         coeffs[degree] = coeffs.get(degree, 0) + (-c if sign == "-" else c)
     out = [0] * (max(coeffs) + 1)
     for d, c in coeffs.items():
@@ -231,6 +245,7 @@ def _check_printable(p: int, e: int) -> None:
 
 
 def _cmd_expand(args):
+    _check_printable(args.p, args.r)
     a = parse_rational(args.value)
     x = PadicNumber.from_rational(a, args.p, args.r)
     s = to_expansion_string(x)
@@ -278,6 +293,7 @@ def _cmd_hensel(args):
 
 
 def _cmd_sqrt(args):
+    _check_printable(args.p, args.r)
     roots = sqrt_padic(args.a, args.p, args.r)
     expansions = [to_expansion_string(x) for x in roots]
     text = "\n".join(expansions) if expansions else f"no square roots in Z_{args.p}"

@@ -26,9 +26,7 @@ from .errors import DomainError, NotARootError, ResourceLimitError, SingularRoot
 from .padic_core import (
     PadicNumber,
     RationalPolynomial,
-    Valuation,
     _digits,
-    _int_valuation,
     _poly_derivative,
     _poly_eval,
     require_prime,
@@ -79,11 +77,7 @@ class LiftTrace:
         """The lifted root as a p-adic number to r digits."""
         if not 1 <= r <= self.k + 1:
             raise DomainError(f"trace guarantees only {self.k + 1} digits")
-        x = self.root % self.p**r
-        if x == 0:
-            return PadicNumber.zero(self.p, r)
-        v = _int_valuation(x, self.p)
-        return PadicNumber(self.p, Valuation(v), _digits(x // self.p**v, self.p, r - v))
+        return PadicNumber._from_residue(self.p, self.root, r)
 
     def render_sum(self) -> str:
         """Textbook-style sum of digit terms, e.g. ``3 + 7·1 + 7²·2``."""

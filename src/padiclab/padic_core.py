@@ -1,10 +1,11 @@
 """Exact p-adic numbers at fixed digit precision.
 
-A nonzero value is stored in normalized form ``p**v * (unit[0] + unit[1]*p +
-... + unit[r-1]*p**(r-1))`` with ``unit[0] != 0``, so the valuation and the
-norm are O(1) reads.  The value is known modulo ``p**(v+r)``; ``r`` is the
-number of guaranteed digits.  Zero is canonical: infinite valuation and an
-all-zero digit vector.
+A nonzero value is stored as ``p**v * unit_value`` with ``unit_value`` an
+integer in ``[0, p**r)`` not divisible by p, so the valuation and the norm
+are O(1) reads and arithmetic is plain residue arithmetic.  The value is
+known modulo ``p**(v+r)``; ``r`` is the number of guaranteed digits, and
+the base-p digits ``unit`` are a view computed on demand.  Zero is
+canonical: infinite valuation and ``unit_value == 0``.
 
 Arithmetic tracks precision honestly.  Multiplication and inversion keep the
 minimum of the operand precisions; addition may lose digits when leading
@@ -263,29 +264,30 @@ def _poly_str(coeffs: tuple, sep: str) -> str:
 
 @dataclass(frozen=True)
 class PadicNumber:
-    """A p-adic number known to ``r = len(unit)`` digits past its valuation."""
+    """A p-adic number ``p**v * unit_value``, its unit known modulo ``p**r``."""
 
     p: int
     v: Valuation
-    unit: tuple[int, ...]
+    unit_value: int
+    r: int
 
     def __post_init__(self):
         require_prime(self.p)
-        if len(self.unit) < 1:
+        if self.r < 1:
             raise DomainError("precision must be at least one digit")
-        if any(not (0 <= d < self.p) for d in self.unit):
-            raise DomainError(f"digits must lie in [0, {self.p})")
+        if not 0 <= self.unit_value < self.p**self.r:
+            raise DomainError(f"unit must lie in [0, {self.p}**{self.r})")
         if self.v.is_infinite:
-            if any(self.unit):
-                raise DomainError("zero must carry an all-zero digit vector")
-        elif self.unit[0] == 0:
-            raise DomainError("nonzero unit part must start with a nonzero digit")
+            if self.unit_value:
+                raise DomainError("zero must carry a zero unit")
+        elif self.unit_value % self.p == 0:
+            raise DomainError("nonzero unit part must not be divisible by p")
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, p: int, r: int) -> "PadicNumber":
-        return cls(p, INFINITY, (0,) * r)
+        return cls(p, INFINITY, 0, r)
 
     @classmethod
     def from_integer(cls, n: int, p: int, r: int) -> "PadicNumber":
@@ -295,8 +297,7 @@ class PadicNumber:
         if n == 0:
             return cls.zero(p, r)
         v = _int_valuation(n, p)
-        u = (n // p**v) % p**r
-        return cls(p, Valuation(v), _digits(u, p, r))
+        return cls(p, Valuation(v), (n // p**v) % p**r, r)
 
     @classmethod
     def from_rational(cls, a, p: int, r: int) -> "PadicNumber":
@@ -310,39 +311,40 @@ class PadicNumber:
         vd = _int_valuation(a.denominator, p)
         b = a.numerator // p**vn
         c = a.denominator // p**vd
-        u = b * pow(c, -1, p**r) % p**r
-        return cls(p, Valuation(vn - vd), _digits(u, p, r))
+        return cls(p, Valuation(vn - vd), b * pow(c, -1, p**r) % p**r, r)
+
+    @classmethod
+    def _from_residue(cls, p: int, x: int, w: int, v0: int = 0) -> "PadicNumber":
+        """``p**v0 * x`` for x known mod ``p**w``; each factor p of x costs a digit."""
+        x %= p**w
+        if x == 0:
+            return cls.zero(p, w)
+        shift = _int_valuation(x, p)
+        return cls(p, Valuation(v0 + shift), x // p**shift, w - shift)
 
     # -- structure ---------------------------------------------------------
-
-    @property
-    def r(self) -> int:
-        """Number of guaranteed digits."""
-        return len(self.unit)
 
     @property
     def is_zero(self) -> bool:
         return self.v.is_infinite
 
     @property
-    def unit_value(self) -> int:
-        """The unit part as an integer in [0, p**r)."""
-        return _poly_eval(self.unit, self.p)
+    def unit(self) -> tuple[int, ...]:
+        """The r little-endian base-p digits of the unit part."""
+        return _digits(self.unit_value, self.p, self.r)
 
     def truncate(self, r: int) -> "PadicNumber":
         """Forget digits beyond the first ``r``."""
         if not 1 <= r <= self.r:
             raise DomainError(f"cannot truncate {self.r}-digit value to {r} digits")
-        if self.is_zero:
-            return PadicNumber.zero(self.p, r)
-        return PadicNumber(self.p, self.v, self.unit[:r])
+        return PadicNumber(self.p, self.v, self.unit_value % self.p**r, r)
 
     def agrees_with(self, other: "PadicNumber") -> bool:
         """Whether the two precision-limited claims are mutually consistent.
 
-        Nonzero values carry an exact valuation plus unit digits modulo
-        p**r; a zero tracked to w digits is the weaker claim "valuation at
-        least w" (all digits that were guaranteed cancelled).
+        Nonzero values carry an exact valuation plus a unit modulo p**r; a
+        zero tracked to w digits is the weaker claim "valuation at least w"
+        (all digits that were guaranteed cancelled).
         """
         if self.p != other.p:
             return False
@@ -354,8 +356,8 @@ class PadicNumber:
             return int(self.v) >= other.r
         if self.v != other.v:
             return False
-        r = min(self.r, other.r)
-        return self.unit[:r] == other.unit[:r]
+        m = self.p ** min(self.r, other.r)
+        return self.unit_value % m == other.unit_value % m
 
     # -- arithmetic --------------------------------------------------------
 
@@ -381,22 +383,11 @@ class PadicNumber:
         vx, vy = int(self.v), int(other.v)
         vmin = min(vx, vy)
         known = min(vx + self.r, vy + other.r)  # sum known mod p**known
-        window = known - vmin
-        total = (
-            self.unit_value * p ** (vx - vmin) + other.unit_value * p ** (vy - vmin)
-        ) % p**window
-        if total == 0:
-            return PadicNumber.zero(p, window)
-        shift = _int_valuation(total, p)
-        return PadicNumber(
-            p, Valuation(vmin + shift), _digits(total // p**shift, p, window - shift)
-        )
+        total = self.unit_value * p ** (vx - vmin) + other.unit_value * p ** (vy - vmin)
+        return PadicNumber._from_residue(p, total, known - vmin, vmin)
 
     def neg(self) -> "PadicNumber":
-        if self.is_zero:
-            return self
-        u = (-self.unit_value) % self.p**self.r
-        return PadicNumber(self.p, self.v, _digits(u, self.p, self.r))
+        return PadicNumber(self.p, self.v, -self.unit_value % self.p**self.r, self.r)
 
     def mul(self, other: "PadicNumber") -> "PadicNumber":
         self._check_compatible(other)
@@ -404,13 +395,13 @@ class PadicNumber:
         if self.is_zero or other.is_zero:
             return PadicNumber.zero(self.p, r)
         u = self.unit_value * other.unit_value % self.p**r
-        return PadicNumber(self.p, self.v + other.v, _digits(u, self.p, r))
+        return PadicNumber(self.p, self.v + other.v, u, r)
 
     def inv(self) -> "PadicNumber":
         if self.is_zero:
             raise ZeroInversionError("zero has no p-adic inverse")
         u = pow(self.unit_value, -1, self.p**self.r)
-        return PadicNumber(self.p, -self.v, _digits(u, self.p, self.r))
+        return PadicNumber(self.p, -self.v, u, self.r)
 
     def sub(self, other: "PadicNumber") -> "PadicNumber":
         self._check_compatible(other)

@@ -18,7 +18,8 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
-from padiclab.cli import build_parser, main
+from padiclab import ResourceLimitError
+from padiclab.cli import build_parser, main, parse_polynomial
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas" / "v1"
 
@@ -380,6 +381,12 @@ def test_oversized_borel_and_seminorm_refused_fast(argv, json_mode):
         ["sqrt", "2", "--p", "4294967291", "--r", "2"],
         ["hensel", "--poly", "x^2-2", "--p", "7", "--x0", "3", "--k", "10000"],
         ["code", "encode", "2/3", "--p", "5", "--r", "20000"],
+        # integer literals past CPython's 4300-digit int-from-str limit
+        ["valuation", "1" * 5000, "--p", "5"],
+        ["hensel", "--poly", "1" * 5000 + "x-1", "--p", "7", "--x0", "1", "--k", "2"],
+        ["pauli", "normalizer-check", "--matrix", "1" * 5000 + ",0;0,1"],
+        # one past the exponent bound, refused before the coefficient list
+        ["hensel", "--poly", "x^10001-1", "--p", "7", "--x0", "1", "--k", "2"],
     ],
 )
 def test_oversized_sqrt_hensel_and_code_refused_fast(argv, json_mode):
@@ -409,6 +416,8 @@ def test_oversized_sqrt_hensel_and_code_refused_fast(argv, json_mode):
     [
         # 7**5088 < 10**4300 < 7**5089 and 5**6151 < 10**4300 < 5**6152
         ["hensel", "--poly", "x^2-2", "--p", "7", "--x0", "3", "--k", "5088"],
+        ["expand", "1/3", "--p", "2", "--r", "14285"],
+        ["sqrt", "2", "--p", "7", "--r", "5089"],
         ["code", "encode", "2/3", "--p", "2", "--r", "14285"],
         ["code", "decode", "5", "--p", "2", "--r", "14285"],
         ["code", "add", "1/3", "2/3", "--p", "5", "--r", "6152"],
@@ -421,7 +430,7 @@ def test_unprintable_results_refused_before_any_work(argv, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the print bound must refuse before any lift or code")
 
-    for name in ("hensel_lift", "encode", "decode"):
+    for name in ("hensel_lift", "encode", "decode", "sqrt_padic", "PadicNumber.from_rational"):
         monkeypatch.setattr(f"padiclab.cli.{name}", unreachable)
     code, out, err = run_cli(*argv)
     assert (code, out) == (3, "")
@@ -440,6 +449,17 @@ def test_results_at_the_print_bound_still_print():
     payload = run_json("hensel", "--poly", "x^2-2", "--p", "7", "--x0", "3", "--k", "300",
                        schema="hensel")
     assert payload["residues"][-1] ** 2 % 7**301 == 2
+    code, out, err = run_cli("expand", "1/3", "--p", "2", "--r", "14284")
+    assert code == 0, err
+    head, _, tail = out.strip().partition(",")
+    assert 3 * int((head + tail)[::-1], 2) % 2**14284 == 1  # digits ascend by power
+    assert run_cli("sqrt", "2", "--p", "7", "--r", "5088")[0] == 0
+
+
+def test_polynomial_exponent_bound():
+    assert parse_polynomial("x^10000-1") == (-1,) + (0,) * 9999 + (1,)
+    with pytest.raises(ResourceLimitError, match="exponent 10001 exceeds 10000"):
+        parse_polynomial("x^10001")
 
 
 def test_oversized_borel_table_refused_before_any_row(monkeypatch):

@@ -17,6 +17,7 @@ from padiclab import (
     DomainError,
     LiftTrace,
     NotARootError,
+    PadicNumber,
     ResourceLimitError,
     SingularRootError,
     hensel_lift,
@@ -222,6 +223,12 @@ def test_as_padic_matches_digits():
     assert x.unit == (3, 1, 2)
     with pytest.raises(DomainError):
         trace.as_padic(9)
+
+
+def test_as_padic_moves_factors_of_p_into_the_valuation():
+    # x - 21 has root 21 = 7 * 3; x - 343 has root 0 mod 7**3
+    assert hensel_lift((-21, 1), 0, 7, 2).as_padic(3) == PadicNumber.from_integer(21, 7, 2)
+    assert hensel_lift((-343, 1), 0, 7, 2).as_padic(3) == PadicNumber.zero(7, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -195,16 +195,24 @@ def test_unit_leading_digit_nonzero():
 
 def test_constructor_rejects_bad_unit():
     with pytest.raises(DomainError):
-        PadicNumber(5, Valuation.finite(0), (0, 1))  # leading zero, nonzero number
+        PadicNumber(5, Valuation.finite(0), 5, 2)  # unit divisible by p, nonzero number
     with pytest.raises(DomainError):
-        PadicNumber(5, Valuation.finite(0), (5, 0))  # digit out of range
+        PadicNumber(5, Valuation.finite(0), 25, 2)  # unit out of range
+    with pytest.raises(DomainError):
+        PadicNumber(5, Valuation.finite(0), 26, 2)  # out of range, not divisible by p
     with pytest.raises(NotPrimeError):
-        PadicNumber(6, Valuation.finite(0), (1,))
+        PadicNumber(6, Valuation.finite(0), 1, 1)
 
 
 # ---------------------------------------------------------------------------
 # Arithmetic — brute-force residue oracle
 # ---------------------------------------------------------------------------
+
+
+def assert_digit_view(z):
+    # the digit tuple is a view of the stored unit: r digits that decode back to it
+    assert _poly_eval(z.unit, z.p) == z.unit_value
+    assert len(z.unit) == z.r
 
 
 def test_add_integers_sanity():
@@ -236,6 +244,7 @@ def test_add_mod_consistency(m, n, p, r):
     s = x + y
     # every digit the result claims must match (m+n) mod p^tracked
     assert s.agrees_with(PadicNumber.from_integer(m + n, p, r))
+    assert_digit_view(s)
 
 
 @given(
@@ -249,12 +258,15 @@ def test_mul_mod_consistency(m, n, p, r):
     y = PadicNumber.from_integer(n, p, r)
     prod = x * y
     assert prod.agrees_with(PadicNumber.from_integer(m * n, p, r))
+    assert_digit_view(prod)
 
 
 @given(m=st.integers(-10**6, 10**6), p=prime_st, r=st.integers(1, 8))
 def test_additive_inverse(m, p, r):
     x = PadicNumber.from_integer(m, p, r)
     assert (x + (-x)).is_zero
+    assert_digit_view(-x)
+    assert_digit_view(x + (-x))
 
 
 @given(q=nonzero_rationals, p=prime_st, r=st.integers(1, 8))
@@ -262,6 +274,8 @@ def test_mul_by_inverse_gives_one(q, p, r):
     x = PadicNumber.from_rational(q, p, r)
     prod = x * x.inv()
     assert prod.agrees_with(PadicNumber.from_integer(1, p, prod.r))
+    assert_digit_view(x.inv())
+    assert_digit_view(prod)
 
 
 def test_inv_of_zero_rejected():
