@@ -20,11 +20,16 @@ tolerance 1e-10 (``borel --tol``) can be overridden per invocation or by the
 ``PADICLAB_PRECISION`` / ``PADICLAB_TOLERANCE`` environment variables.
 Arguments that begin with ``-`` (negative rationals) must follow a ``--``
 separator, e.g. ``padiclab norm --archimedean -- -3/4``.
+
+The argparse tree is built once per process; each ``main()`` call parses with
+a fresh copy of its top-level parser and reads the environment anew.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
+import functools
 import json
 import os
 import random
@@ -34,7 +39,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .errors import DomainError, PadiclabError, ResourceLimitError
+from .errors import DomainError, PadiclabError, ResourceLimitError, quoted
 from .hensel import hensel_lift, sqrt_padic
 from .hensel_codes import HenselCode, code_add, code_div, code_mul, code_sub, decode, encode
 from .padic_core import (
@@ -45,6 +50,7 @@ from .padic_core import (
     gauss_norm,
     norm,
     nu,
+    require_prime,
     to_expansion_string,
 )
 from .quantum_logic import (
@@ -89,11 +95,21 @@ _SEMINORM_WORK = 250_000
 _PRINTABLE = 10**4300
 #: parse_polynomial builds a dense coefficient list up to the largest exponent.
 _MAX_EXPONENT = 10**4
+#: hensel prints x_0, ..., x_k: at most this many residue digits in all.
+_HENSEL_DIGITS = 3_000_000
 
 
 # -- input grammars -----------------------------------------------------------
 
 _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
+
+
+def _int_arg(s: str) -> int:
+    """argparse type of the integer arguments: a bad literal is quoted by its prefix only."""
+    try:
+        return int(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {quoted(s)}") from None
 
 
 def _parse_int(s: str) -> int:
@@ -109,12 +125,12 @@ def parse_rational(s: str) -> Fraction:
     s = s.strip()
     m = _RATIONAL_RE.fullmatch(s)
     if not m:
-        raise DomainError(f"cannot parse rational {s!r}")
+        raise DomainError(f"cannot parse rational {quoted(s)}")
     num, den = m.groups()
     try:
         return Fraction(_parse_int(num), _parse_int(den or "1"))
     except ZeroDivisionError:
-        raise DomainError(f"zero denominator in {s!r}") from None
+        raise DomainError(f"zero denominator in {quoted(s)}") from None
 
 
 _TERM_RE = re.compile(r"([+-]?)(?:(\d+)\*?)?(x(?:\^(\d+))?)?")
@@ -129,7 +145,7 @@ def parse_polynomial(s: str) -> tuple[int, ...]:
     for part in re.findall(r"[+-]?[^+-]+", compact):
         m = _TERM_RE.fullmatch(part)
         if not m or (m.group(2) is None and m.group(3) is None):
-            raise DomainError(f"cannot parse polynomial term {part!r}")
+            raise DomainError(f"cannot parse polynomial term {quoted(part)}")
         sign, num, xpart, exp = m.groups()
         degree = 0 if xpart is None else (1 if exp is None else _parse_int(exp))
         if degree > _MAX_EXPONENT:
@@ -174,7 +190,7 @@ def parse_pauli(s: str) -> PauliElement:
     """Words like ``X``, ``-iY``, ``XZ``: optional phase prefix, letters per qubit."""
     m = _PAULI_RE.fullmatch(s.strip())
     if not m:
-        raise DomainError(f"cannot parse Pauli word {s!r}")
+        raise DomainError(f"cannot parse Pauli word {quoted(s)}")
     prefix, word = m.groups()
     phase = {None: 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}[prefix]
     xbits, zbits = [], []
@@ -241,6 +257,21 @@ def _check_printable(p: int, e: int) -> None:
         raise ResourceLimitError(f"{p}**{e} exceeds 4300 decimal digits, too many to print")
 
 
+def _check_hensel_output(p: int, k: int) -> None:
+    """Refuse, before any lift, residues x_i < p**(i+1), i <= k, of over _HENSEL_DIGITS digits."""
+    # power = p**(i+1) has ``digits`` digits: 10**(digits - 1) <= power < ten
+    total, power, ten, digits = 0, 1, 10, 1
+    for _ in range(k + 1):
+        power *= p
+        while power >= ten:
+            ten, digits = ten * 10, digits + 1
+        total += digits
+        if total > _HENSEL_DIGITS:
+            raise ResourceLimitError(
+                f"the residues x_0, ..., x_{k} would print over {_HENSEL_DIGITS} digits"
+            )
+
+
 # -- handlers ------------------------------------------------------------------
 
 
@@ -276,6 +307,8 @@ def _cmd_norm(args):
 
 def _cmd_hensel(args):
     _check_printable(args.p, args.k + 1)
+    require_prime(args.p)  # p >= 2, so the digit count below passes the bound within ~4500 steps
+    _check_hensel_output(args.p, args.k)
     trace = hensel_lift(parse_polynomial(args.poly), args.x0, args.p, args.k)
     residues, total = trace.residues, trace.render_sum()
     lines = [f"x_{i} = {x} (mod {args.p}^{i + 1})" for i, x in enumerate(residues)]
@@ -520,8 +553,8 @@ def leaf(subs, name, handler, *positionals, p=False, r=False, **kwargs):
     Positionals are names or (name, type) pairs.  ``p=True`` adds a required
     ``--p``; an int makes ``--p`` optional with that default; ``"archimedean"``
     requires exactly one of ``--p`` and ``--archimedean``.  ``r=True`` adds
-    ``--r``, defaulting to ``PADICLAB_PRECISION``.  Returns the leaf parser for
-    its own options; ``kwargs`` go to ``add_parser``.
+    ``--r``, whose default ``main`` reads from ``PADICLAB_PRECISION``.  Returns
+    the leaf parser for its own options; ``kwargs`` go to ``add_parser``.
     """
     sp = subs.add_parser(name, **kwargs)
     sp.set_defaults(handler=handler)
@@ -531,18 +564,20 @@ def leaf(subs, name, handler, *positionals, p=False, r=False, **kwargs):
         sp.add_argument(dest, type=kind)
     if p == "archimedean":
         place = sp.add_mutually_exclusive_group(required=True)
-        place.add_argument("--p", type=int)
+        place.add_argument("--p", type=_int_arg)
         place.add_argument("--archimedean", action="store_true")
     elif p is True:
-        sp.add_argument("--p", type=int, required=True)
+        sp.add_argument("--p", type=_int_arg, required=True)
     elif p:
-        sp.add_argument("--p", type=int, default=p)
+        sp.add_argument("--p", type=_int_arg, default=p)
     if r:
-        sp.add_argument("--r", type=int, default=_env("PADICLAB_PRECISION", int, 8))
+        sp.add_argument("--r", type=_int_arg)
     return sp
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser_tree() -> argparse.ArgumentParser:
+    """The whole argparse tree, built once per process."""
     parser = argparse.ArgumentParser(
         prog="padiclab",
         description="Exact p-adic arithmetic, product formulas, Hensel codes, "
@@ -564,30 +599,30 @@ def build_parser() -> argparse.ArgumentParser:
     sp = leaf(top, "hensel", _cmd_hensel, p=True,
               help="lift a simple root mod p to mod p^(k+1)")
     sp.add_argument("--poly", required=True)
-    sp.add_argument("--x0", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    leaf(top, "sqrt", _cmd_sqrt, ("a", int), p=True, r=True,
+    sp.add_argument("--x0", type=_int_arg, required=True)
+    sp.add_argument("--k", type=_int_arg, required=True)
+    leaf(top, "sqrt", _cmd_sqrt, ("a", _int_arg), p=True, r=True,
          help="p-adic square roots of an integer")
     sp = leaf(top, "product-formula", _cmd_product_formula, "value",
               help="norms over all places")
     sp.add_argument(
         "--function-field",
-        type=int,
+        type=_int_arg,
         metavar="P",
         help="treat the input as a rational function over F_P",
     )
 
     code = group("code", "r-digit residue codes for rationals")
     leaf(code, "encode", _code_op(lambda x: x, "x"), "x", p=True, r=True)
-    leaf(code, "decode", _cmd_code_decode, ("value", int), p=True, r=True)
+    leaf(code, "decode", _cmd_code_decode, ("value", _int_arg), p=True, r=True)
     for op, fn in (("add", code_add), ("sub", code_sub), ("mul", code_mul), ("div", code_div)):
         leaf(code, op, _code_op(fn, "x", "y"), "x", "y", p=True, r=True)
 
     pauli = group("pauli", "exact Pauli-group algebra")
     leaf(pauli, "mul", _cmd_pauli_mul, "x", "y")
-    leaf(pauli, "order", _cmd_pauli_order).add_argument("--n", type=int, default=1)
+    leaf(pauli, "order", _cmd_pauli_order).add_argument("--n", type=_int_arg, default=1)
     leaf(pauli, "basis-check", _cmd_pauli_basis_check).add_argument(
-        "--n", type=int, default=1
+        "--n", type=_int_arg, default=1
     )
     leaf(pauli, "normalizer-check", _cmd_pauli_normalizer_check).add_argument(
         "--matrix", required=True, help="rows ';', entries ','"
@@ -595,28 +630,48 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = leaf(group("lattice", "modular/distributive law checks"), "check", _cmd_lattice)
     which = sp.add_mutually_exclusive_group(required=True)
-    which.add_argument("--subspace", nargs=2, type=int, metavar=("Q", "D"))
+    which.add_argument("--subspace", nargs=2, type=_int_arg, metavar=("Q", "D"))
     which.add_argument("--named", choices=["n5", "m3", "boolean", "chain"])
-    sp.add_argument("--k", type=int, default=3, help="size for boolean/chain")
+    sp.add_argument("--k", type=_int_arg, default=3, help="size for boolean/chain")
 
     sp = leaf(top, "borel", _cmd_borel, help="summation of the Euler series")
     sp.add_argument("--t", required=True)
-    sp.add_argument("--order", type=int, help="evaluate the partial sum S_N instead")
+    sp.add_argument("--order", type=_int_arg, help="evaluate the partial sum S_N instead")
     sp.add_argument("--a", help="add a*exp(1/t) (general solution)")
-    sp.add_argument("--tol", default=_env("PADICLAB_TOLERANCE", str, "1e-10"))
+    sp.add_argument("--tol")
     sp.add_argument("--table", action="store_true", help="rows (N, S_N, |S_N - y_B|)")
 
     sp = leaf(top, "seminorm-check", _cmd_seminorm_check, p=3,
               help="Gauss-norm axiom report")
-    sp.add_argument("--samples", type=int, default=30)
-    sp.add_argument("--degree", type=int, default=4)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--samples", type=_int_arg, default=30)
+    sp.add_argument("--degree", type=_int_arg, default=4)
+    sp.add_argument("--seed", type=_int_arg, default=0)
 
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """A fresh top-level parser over the once-built tree of sub-parsers and actions.
+
+    Attributes set on the returned object (say, a wrapped ``parse_args``)
+    stay on it; adding arguments to it would change the shared tree.
+    """
+    return copy.copy(_parser_tree())
+
+
+#: Options whose default comes from the environment, read by ``main`` on every
+#: call: dest -> (variable, conversion, fallback).
+_ENV_DEFAULTS = {
+    "r": ("PADICLAB_PRECISION", int, 8),
+    "tol": ("PADICLAB_TOLERANCE", str, "1e-10"),
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for dest, (name, convert, default) in _ENV_DEFAULTS.items():
+        if getattr(args, dest, 0) is None:
+            setattr(args, dest, _env(name, convert, default))
     try:
         payload, text = args.handler(args)
     except PadiclabError as exc:

@@ -5,6 +5,16 @@ machine-parsable reason. ``DomainError`` maps to exit status 1,
 ``ResourceLimitError`` to exit status 3.
 """
 
+#: Longest part of an input string that an error message quotes.
+_QUOTE_CHARS = 40
+
+
+def quoted(s) -> str:
+    """``repr(s)``; a string longer than ``_QUOTE_CHARS`` shows only its prefix and length."""
+    if isinstance(s, str) and len(s) > _QUOTE_CHARS:
+        return f"{s[:_QUOTE_CHARS]!r}... ({len(s)} characters)"
+    return repr(s)
+
 
 class PadiclabError(Exception):
     """Base class for all errors raised by this package."""

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, total_ordering
-from itertools import zip_longest
+from itertools import product, zip_longest
 
 from .errors import (
     DomainError,
@@ -559,33 +559,24 @@ def check_seminorm_axioms(norm_fn, samples, *, zero, one) -> SeminormReport:
     """
     if not samples:
         raise DomainError("seminorm check needs at least one sample")
-    results = []
-
-    results.append(
-        AxiomResult("zero_norm", norm_fn(zero) == 0, None if norm_fn(zero) == 0 else (zero,))
+    zero_norm, one_norm = norm_fn(zero), norm_fn(one)
+    normed = [(f, norm_fn(f)) for f in samples]
+    mult_witness = next(
+        (
+            (f, g)
+            for (f, nf), (g, ng) in product(normed, repeat=2)
+            if norm_fn(f * g) != nf * ng
+        ),
+        None,
     )
-    results.append(
-        AxiomResult("unit_norm", norm_fn(one) == 1, None if norm_fn(one) == 1 else (one,))
+    tri_witness = next(
+        ((f, g) for (f, nf), (g, ng) in product(normed, repeat=2) if norm_fn(f + g) > nf + ng),
+        None,
     )
-
-    mult_witness = None
-    for f in samples:
-        for g in samples:
-            if norm_fn(f * g) != norm_fn(f) * norm_fn(g):
-                mult_witness = (f, g)
-                break
-        if mult_witness:
-            break
-    results.append(AxiomResult("multiplicative", mult_witness is None, mult_witness))
-
-    tri_witness = None
-    for f in samples:
-        for g in samples:
-            if norm_fn(f + g) > norm_fn(f) + norm_fn(g):
-                tri_witness = (f, g)
-                break
-        if tri_witness:
-            break
-    results.append(AxiomResult("triangle", tri_witness is None, tri_witness))
-
+    results = [
+        AxiomResult("zero_norm", zero_norm == 0, None if zero_norm == 0 else (zero,)),
+        AxiomResult("unit_norm", one_norm == 1, None if one_norm == 1 else (one,)),
+        AxiomResult("multiplicative", mult_witness is None, mult_witness),
+        AxiomResult("triangle", tri_witness is None, tri_witness),
+    ]
     return SeminormReport(tuple(results))

@@ -23,6 +23,9 @@ is recomputed here with exact polynomial arithmetic rather than assumed.
 
 All floating work happens in mpmath at one precision, 40 digits; each halving
 of the trapezoid step reuses the old nodes, and the truncation index is exact.
+The t-free part of every node (three exponentials) is computed once per
+process and kept in a table bounded to levels of at most ``TABLE_NODES``
+nodes, as in Bailey, Jeyabalan & Li (2005); deeper levels are recomputed.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from math import ceil
 
 from mpmath import mp, mpf
 
-from .errors import AccuracyError, DomainError, RangeError, ResourceLimitError
+from .errors import AccuracyError, DomainError, RangeError, ResourceLimitError, quoted
 from .padic_core import RationalPolynomial, _poly_eval
 
 #: Working precision of every mpmath evaluation (significant decimal digits).
@@ -46,13 +49,20 @@ MAX_SERIES_ORDER = 500
 GROWTH_GUARD_T = Fraction(1, 10**6)
 
 
+def _unparsable(t, exc: Exception) -> DomainError | ResourceLimitError:
+    """The error for a real ``t`` that failed to parse with ``exc``."""
+    if "integer string conversion" in str(exc):  # CPython's 4300-digit int-from-str limit
+        return ResourceLimitError(f"real literal {quoted(t)} exceeds 4300 decimal digits")
+    return DomainError(f"cannot parse real {quoted(t)}")
+
+
 def _to_mp(t):
     if isinstance(t, Fraction):
         return mpf(t.numerator) / t.denominator
     try:
         return mpf(t)
-    except ValueError:
-        raise DomainError(f"cannot parse real {t!r}") from None
+    except ValueError as exc:
+        raise _unparsable(t, exc) from None
 
 
 def _require_positive(t) -> mpf:
@@ -121,11 +131,46 @@ def optimal_truncation_index(t) -> int:
     """
     try:
         tq = Fraction(t)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"cannot parse real {t!r}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise _unparsable(t, exc) from None
     if not tq > 0:
         raise DomainError("t must be positive")
     return ceil(1 / tq) - 1
+
+
+#: Half-width of the trapezoid interval in w, and the node count of its first level.
+_WIDTH, _FIRST_NODES = 5, 16
+#: Node parts of trapezoid levels up to this many nodes are kept (~1.2 MB).
+TABLE_NODES = 2048
+#: key -> node parts: 0 the two ends, j >= 1 the new nodes of the level with
+#: 8 * 2**j nodes (all 15 interior ones at j = 1, then the odd ones).
+_NODE_TABLE: dict[int, tuple] = {}
+
+
+def _node_part(w):
+    """(exp(-u), u, 1 + exp(-w)) at u = exp(w - exp(-w)): the t-free part of the integrand."""
+    ew = mp.exp(-w)
+    u = mp.exp(w - ew)
+    return mp.exp(-u), u, 1 + ew
+
+
+def _node_parts(key):
+    """The node parts of one table key, from the table while it keeps them.
+
+    Call it under ``mp.workdps(WORKING_DPS)``: the table holds values at that precision.
+    """
+    if key in _NODE_TABLE:
+        return _NODE_TABLE[key]
+    width, n = mpf(_WIDTH), _FIRST_NODES << max(key - 1, 0)
+    if key == 0:
+        nodes = (-width, width)
+    else:
+        h = 2 * width / n
+        nodes = (-width + i * h for i in range(1, n, 1 if key == 1 else 2))
+    parts = map(_node_part, nodes)
+    if n > TABLE_NODES:
+        return parts  # a deep level is computed on each call, not stored
+    return _NODE_TABLE.setdefault(key, tuple(parts))
 
 
 def borel_sum(t, tol=DEFAULT_TOL) -> SummationResult:
@@ -134,22 +179,23 @@ def borel_sum(t, tol=DEFAULT_TOL) -> SummationResult:
     Integrates exp(-u) * t/(1 + t*u) over u >= 0 with the substitution
     u = exp(w - exp(-w)), trapezoid on w in [-5, 5], doubling the node
     count until two successive estimates agree to ``tol`` (relative).
+    The t-free part of each node is computed once per process for levels
+    up to ``TABLE_NODES`` nodes and recomputed beyond them.
     """
     with mp.workdps(WORKING_DPS):
         tv = _require_positive(t)
         tolv = _to_mp(tol)
-        width = mpf(5)
 
-        def g(w):
-            ew = mp.exp(-w)
-            u = mp.exp(w - ew)
-            return mp.exp(-u) * tv / (1 + tv * u) * u * (1 + ew)
+        def g(part):
+            e, u, q = part
+            return e * tv / (1 + tv * u) * u * q
 
-        n, h, stride = 16, 2 * width / 16, 1
-        total, prev = (g(-width) + g(width)) / 2, None
-        for _ in range(14):  # 16, 32, ..., 16 * 2**13 nodes
+        lo, hi = _node_parts(0)
+        n, h = _FIRST_NODES, 2 * mpf(_WIDTH) / _FIRST_NODES
+        total, prev = (g(lo) + g(hi)) / 2, None
+        for key in range(1, 15):  # 16, 32, ..., 16 * 2**13 nodes
             # every interior node first; after each halving only the odd ones
-            total += mp.fsum(g(-width + i * h) for i in range(1, n, stride))
+            total += mp.fsum(g(part) for part in _node_parts(key))
             est = h * total
             if prev is not None:
                 # never certify below what the working precision resolves
@@ -163,7 +209,7 @@ def borel_sum(t, tol=DEFAULT_TOL) -> SummationResult:
                         f"tol={tol} is below the working precision at dps={WORKING_DPS}",
                         achieved=certifiable,
                     )
-            prev, n, h, stride = est, 2 * n, h / 2, 2
+            prev, n, h = est, 2 * n, h / 2
         raise AccuracyError(
             f"quadrature did not reach tol={tol} within {n // 2} nodes",
             achieved=abs(est - prev),

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
-from padiclab import ResourceLimitError
+from padiclab import ResourceLimitError, cli
 from padiclab.cli import build_parser, main, parse_polynomial
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas" / "v1"
@@ -34,6 +34,14 @@ def run_cli(*args: str):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(list(args))
     return code, out.getvalue(), err.getvalue()
+
+
+def run_usage_error(*args: str):
+    """(exit code, stderr) of an argv that argparse refuses."""
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(list(args))
+    return exc.value.code, err.getvalue()
 
 
 def run_json(*args: str, schema: str):
@@ -541,6 +549,86 @@ def test_unparsable_real_exits_1(monkeypatch, argv, tolerance):
     assert payload["error_code"] == "domain_error"
 
 
+LONG = "1" * 5000
+
+
+@pytest.mark.parametrize("json_mode", [False, True])
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        # past CPython's 4300-digit int-from-str limit: a resource limit
+        (["borel", "--t", LONG], 3),
+        (["borel", "--t", LONG, "--table"], 3),
+        (["borel", "--t", "1/2", "--tol", LONG], 3),
+        (["borel", "--t", "1/2", "--a", LONG], 3),
+        # malformed and long: a domain error
+        (["borel", "--t", "x" * 5000], 1),
+        (["valuation", LONG + "x", "--p", "5"], 1),
+    ],
+)
+def test_long_literals_are_quoted_by_a_prefix(argv, exit_code, json_mode):
+    code, out, err = run_cli(*argv, *(["--json"] if json_mode else []))
+    assert (code, out) == (exit_code, "")
+    assert len(err) < 300
+    assert "... (5000 characters)" in err or "... (5001 characters)" in err
+    if json_mode:
+        payload = json.loads(err)
+        load_schema("error").validate(payload)
+        assert payload["error_code"] == ("resource_limit" if exit_code == 3 else "domain_error")
+    else:
+        assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("json_mode", [False, True])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sqrt", LONG, "--p", "7"],
+        ["valuation", "3", "--p", LONG],
+        ["code", "decode", LONG, "--p", "5"],
+        ["hensel", "--poly", "x-1", "--p", "7", "--x0", "1", "--k", LONG],
+    ],
+)
+def test_long_int_arguments_are_short_usage_errors(argv, json_mode):
+    code, err = run_usage_error(*argv, *(["--json"] if json_mode else []))
+    assert code == 2
+    assert len(err.encode()) < 300
+    assert "invalid int value: '1111" in err and "... (5000 characters)" in err
+
+
+def test_bad_int_arguments_keep_the_argparse_message():
+    code, err = run_usage_error("valuation", "3", "--p", "abc")
+    assert code == 2
+    assert err.endswith("error: argument --p: invalid int value: 'abc'\n")
+
+
+def test_hensel_output_bound_refuses_before_any_lift(monkeypatch):
+    # 2**14284 < 10**4300, so every residue prints, but x_0..x_14283 total ~31M digits
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the output bound must refuse before any lift")
+
+    monkeypatch.setattr("padiclab.cli.hensel_lift", unreachable)
+    argv = ["hensel", "--poly", "x^2+x+2", "--p", "2", "--x0", "0", "--k", "14283"]
+    t0 = time.perf_counter()
+    code, out, err = run_cli(*argv)
+    assert time.perf_counter() - t0 < 2.0
+    assert (code, out) == (3, "")
+    assert f"would print over {cli._HENSEL_DIGITS} digits" in err
+    code, out, err = run_cli(*argv, "--json")
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error_code"] == "resource_limit"
+
+
+@pytest.mark.parametrize("p, k", [(2, 4461), (3, 3543), (7, 2662)])
+def test_hensel_output_bound_counts_residue_digits(p, k):
+    # the largest admitted k: sum over i <= k of digits(p**(i+1)) fits the bound
+    total = sum(len(str(p ** (i + 1))) for i in range(k + 1))
+    assert total <= cli._HENSEL_DIGITS < total + len(str(p ** (k + 2)))
+    cli._check_hensel_output(p, k)
+    with pytest.raises(ResourceLimitError):
+        cli._check_hensel_output(p, k + 1)
+
+
 def test_negative_rational_needs_separator():
     code, out, _ = run_cli("valuation", "--p", "2", "--", "-8")
     assert code == 0
@@ -560,7 +648,7 @@ def test_nonzero_required_by_product_formula():
 
 def test_precision_env_override(monkeypatch):
     monkeypatch.setenv("PADICLAB_PRECISION", "4")
-    # parser defaults are bound at build time, so go through a fresh main()
+    # main reads the environment on every call
     code, out, _ = run_cli("expand", "1/3", "--p", "5")
     assert code == 0
     assert out == "2,313\n"
@@ -571,6 +659,20 @@ def test_malformed_precision_env_falls_back(monkeypatch):
     code, out, _ = run_cli("expand", "1/3", "--p", "5")
     assert code == 0
     assert out == "2,3131313\n"  # default eight digits
+
+
+def test_env_defaults_are_read_on_every_call(monkeypatch):
+    monkeypatch.setenv("PADICLAB_PRECISION", "4")
+    assert run_cli("expand", "1/3", "--p", "5")[1] == "2,313\n"
+    monkeypatch.delenv("PADICLAB_PRECISION")
+    assert run_cli("expand", "1/3", "--p", "5")[1] == "2,3131313\n"
+    loose = run_cli("borel", "--t", "1/2", "--tol", "1e-3")
+    default = run_cli("borel", "--t", "1/2", "--tol", "1e-10")
+    assert loose != default
+    monkeypatch.setenv("PADICLAB_TOLERANCE", "1e-3")
+    assert run_cli("borel", "--t", "1/2") == loose
+    monkeypatch.delenv("PADICLAB_TOLERANCE")
+    assert run_cli("borel", "--t", "1/2") == default
 
 
 def test_json_output_is_byte_deterministic():
@@ -628,6 +730,51 @@ def walk_parsers(parser, path=()):
     if subs is not None:
         for name, child in subs.choices.items():
             yield from walk_parsers(child, path + (name,))
+
+
+def test_three_main_calls_build_the_parser_tree_once(monkeypatch):
+    cli._parser_tree.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(
+        argparse.ArgumentParser,
+        "__init__",
+        lambda self, *args, **kwargs: built.append(self) or init(self, *args, **kwargs),
+    )
+    counts = []
+    for _ in range(3):
+        assert run_cli("valuation", "63/550", "--p", "5")[:2] == (0, "-2\n")
+        counts.append(len(built))
+    assert counts[0] >= len(LEAVES) + len(GROUPS)
+    assert counts == [counts[0]] * 3
+    assert cli._parser_tree.cache_info().misses == 1
+
+
+def test_usage_error_then_good_request_in_one_process():
+    good = run_cli("code", "encode", "2/3", "--p", "5", "--r", "4")
+    assert good == (0, "209 digits=[4, 1, 3, 1]\n", "")
+    assert run_usage_error("code", "--json", "encode", "2/3", "--p", "5", "--r", "4")[0] == 2
+    assert run_cli("code", "encode", "2/3", "--p", "5", "--r", "4") == good
+
+
+def test_a_patched_parser_does_not_reach_the_next_main(monkeypatch):
+    parser = build_parser()
+    parser.parse_args = lambda argv=None: pytest.fail("a patched parser reached main")
+    assert run_cli("valuation", "0", "--p", "7")[:2] == (0, "infinity\n")
+    # wrapping each built parser, as a tracer does, wraps it once per request
+    calls = []
+    build = cli.build_parser
+
+    def wrapped_build():
+        parser = build()
+        parse = parser.parse_args
+        parser.parse_args = lambda argv=None: calls.append(argv) or parse(argv)
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", wrapped_build)
+    for _ in range(3):
+        assert run_cli("valuation", "0", "--p", "7")[:2] == (0, "infinity\n")
+    assert len(calls) == 3
 
 
 def test_cli_surface_is_pinned():

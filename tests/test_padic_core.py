@@ -440,6 +440,60 @@ def test_seminorm_report_on_plain_rationals():
     assert report.all_passed
 
 
+def test_seminorm_check_takes_one_norm_per_sample():
+    # |0|, |1|, each |f| once, then |fg| and |f + g| for every ordered pair
+    samples = [RationalPolynomial.of(i, Fraction(1, i + 1), 3 * i) for i in range(6)]
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return gauss_norm(f, 3)
+
+    report = check_seminorm_axioms(
+        counted, samples, zero=RationalPolynomial.of(), one=RationalPolynomial.of(1)
+    )
+    assert report.all_passed
+    n = len(samples)
+    assert len(calls) == 2 * n * n + n + 2
+
+
+def reference_seminorm_results(norm_fn, samples, zero, one):
+    """The axiom check as plain double loops over ordered pairs, every norm recomputed."""
+
+    def first_failure(fails):
+        for f in samples:
+            for g in samples:
+                if fails(f, g):
+                    return (f, g)
+        return None
+
+    mult = first_failure(lambda f, g: norm_fn(f * g) != norm_fn(f) * norm_fn(g))
+    tri = first_failure(lambda f, g: norm_fn(f + g) > norm_fn(f) + norm_fn(g))
+    return [
+        ("zero_norm", norm_fn(zero) == 0, None if norm_fn(zero) == 0 else (zero,)),
+        ("unit_norm", norm_fn(one) == 1, None if norm_fn(one) == 1 else (one,)),
+        ("multiplicative", mult is None, mult),
+        ("triangle", tri is None, tri),
+    ]
+
+
+@pytest.mark.parametrize(
+    "norm_fn",
+    [
+        lambda q: min(abs(q), 3),  # not multiplicative: |2 * 2| = 3
+        lambda q: q * q,  # no triangle bound: |1 + 1| = 4
+        lambda q: abs(q) + 1,  # breaks |0| = 0, |1| = 1 and both pair axioms
+        lambda q: norm(q, 2),
+    ],
+)
+def test_seminorm_witnesses_match_the_double_loop(norm_fn):
+    samples = [Fraction(0), Fraction(1, 2), Fraction(-1, 3), Fraction(3, 2), Fraction(2),
+               Fraction(-5)]
+    report = check_seminorm_axioms(norm_fn, samples, zero=Fraction(0), one=Fraction(1))
+    got = [(r.axiom, r.passed, r.witness) for r in report.results]
+    assert got == reference_seminorm_results(norm_fn, samples, Fraction(0), Fraction(1))
+
+
 def test_axiom_result_is_plain_record():
     r = AxiomResult(axiom="triangle", passed=True, witness=None)
     assert r.passed and r.witness is None

@@ -30,6 +30,7 @@ from padiclab import (
     optimal_truncation_index,
     truncated_series_defect,
 )
+from padiclab import resurgence
 from padiclab.resurgence import MAX_SERIES_ORDER, euler_partial_sums
 
 small_t = st.fractions(min_value=Fraction(1, 50), max_value=Fraction(3), max_denominator=100)
@@ -198,13 +199,17 @@ def test_borel_satisfies_ode(t):
 @pytest.mark.parametrize("tol", ["1e-10", "1e-16"])
 def test_borel_evaluates_each_node_once(monkeypatch, t, tol):
     # the integrand takes three exponentials per node; borel_sum takes no others
+    monkeypatch.setattr(resurgence, "_NODE_TABLE", {})  # a cold node table
     calls = []
     exp = mp.exp
     monkeypatch.setattr(mp, "exp", lambda x: calls.append(x) or exp(x))
     result = borel_sum(t, tol)
-    monkeypatch.undo()
     nodes = int(result.method.removeprefix("borel(nodes=").removesuffix(")"))
     assert len(calls) == 3 * (nodes + 1)
+    # a warm table serves a repeat call without any exponential
+    assert borel_sum(t, tol) == result
+    assert len(calls) == 3 * (nodes + 1)
+    monkeypatch.undo()
     # and the running sum is the plain trapezoid rule on those N + 1 nodes
     with mp.workdps(40):
         tv, h = mp.mpf(t.numerator) / t.denominator, mp.mpf(10) / nodes
@@ -216,6 +221,46 @@ def test_borel_evaluates_each_node_once(monkeypatch, t, tol):
         ends = (g(mp.mpf(-5)) + g(mp.mpf(5))) / 2
         plain = h * (ends + mp.fsum(g(-5 + i * h) for i in range(1, nodes)))
         assert abs(result.value - plain) <= mp.mpf("1e-36") * plain
+
+
+def plain_borel_sum(t, tol):
+    """borel_sum recomputed node by node: every level's integrand from w itself."""
+    with mp.workdps(resurgence.WORKING_DPS):
+        tv, tolv, width = resurgence._to_mp(t), resurgence._to_mp(tol), mp.mpf(5)
+
+        def g(w):
+            ew = mp.exp(-w)
+            u = mp.exp(w - ew)
+            return mp.exp(-u) * tv / (1 + tv * u) * u * (1 + ew)
+
+        n, h, stride = 16, 2 * width / 16, 1
+        total, prev = (g(-width) + g(width)) / 2, None
+        while True:
+            total += mp.fsum(g(-width + i * h) for i in range(1, n, stride))
+            est = h * total
+            if prev is not None and max(abs(est - prev), mp.eps * abs(est)) <= tolv * abs(est):
+                return est, n
+            prev, n, h, stride = est, 2 * n, h / 2, 2
+
+
+@pytest.mark.parametrize("table_nodes", [resurgence.TABLE_NODES, 32])
+def test_borel_node_table_is_bit_identical_and_bounded(monkeypatch, table_nodes):
+    # a table that keeps fewer levels computes the deeper ones on each call
+    monkeypatch.setattr(resurgence, "TABLE_NODES", table_nodes)
+    monkeypatch.setattr(resurgence, "_NODE_TABLE", {})
+    most = 0
+    for t in ORACLE_GRID:
+        for tol in ("1e-10", "1e-16"):
+            value, nodes = plain_borel_sum(t, tol)
+            for _ in range(2):  # cold, then warm
+                result = borel_sum(t, tol)
+                assert result.value == value
+                assert result.method == f"borel(nodes={nodes})"
+            most = max(most, nodes)
+    # keys 0 (the ends) and 1, 2, ... (levels of 16, 32, ... nodes), none past the bound
+    kept = sorted(resurgence._NODE_TABLE)
+    assert kept == list(range(len(kept)))
+    assert 16 << (len(kept) - 2) == min(most, table_nodes)
 
 
 def test_borel_rejects_nonpositive_t():
