@@ -70,6 +70,7 @@ from .quantum_logic import (
     subspace_lattice,
 )
 from .resurgence import (
+    MAX_SERIES_ORDER,
     borel_sum,
     euler_partial_sums,
     euler_series_partial,
@@ -97,6 +98,9 @@ _PRINTABLE = 10**4300
 _MAX_EXPONENT = 10**4
 #: hensel prints x_0, ..., x_k: at most this many residue digits in all.
 _HENSEL_DIGITS = 3_000_000
+#: Bound on a digit lift's (terms) * sum over its k moduli of (bits + 256)**2:
+#: about 3 ps a unit on a 2-vCPU host (see ``_check_hensel_work``).
+_HENSEL_WORK = 2 * 10**11
 
 
 # -- input grammars -----------------------------------------------------------
@@ -230,7 +234,7 @@ def parse_matrix(s: str) -> GaussianMatrix:
         [parse_gaussian(entry) for entry in row.split(",")]
         for row in s.strip().split(";")
     ]
-    return GaussianMatrix(tuple(tuple(r) for r in rows))
+    return GaussianMatrix.of(rows)
 
 
 # -- output helpers -----------------------------------------------------------
@@ -272,6 +276,23 @@ def _check_hensel_output(p: int, k: int) -> None:
             )
 
 
+def _check_hensel_work(p: int, k: int, terms: int) -> None:
+    """Refuse, before any lift, a digit lift of over _HENSEL_WORK units.
+
+    The lift makes k Horner passes of ``terms`` steps; a step mod p**(i+1)
+    multiplies and divides integers of L = bitlen(p**(i+1)) bits, which
+    CPython does in time quadratic in L, and costs about (L + 256)**2 units.
+    """
+    work, power = 0, p
+    for _ in range(k):
+        power *= p
+        work += (power.bit_length() + 256) ** 2
+    if terms * work > _HENSEL_WORK:
+        raise ResourceLimitError(
+            f"a digit lift of {terms} terms to p**{k + 1} exceeds {_HENSEL_WORK:.0e} work units"
+        )
+
+
 # -- handlers ------------------------------------------------------------------
 
 
@@ -309,7 +330,9 @@ def _cmd_hensel(args):
     _check_printable(args.p, args.k + 1)
     require_prime(args.p)  # p >= 2, so the digit count below passes the bound within ~4500 steps
     _check_hensel_output(args.p, args.k)
-    trace = hensel_lift(parse_polynomial(args.poly), args.x0, args.p, args.k)
+    f = parse_polynomial(args.poly)
+    _check_hensel_work(args.p, args.k, len(f))
+    trace = hensel_lift(f, args.x0, args.p, args.k)
     residues, total = trace.residues, trace.render_sum()
     lines = [f"x_{i} = {x} (mod {args.p}^{i + 1})" for i, x in enumerate(residues)]
     lines.append(f"x_{trace.k} = {total}")
@@ -467,7 +490,9 @@ def _cmd_lattice(args):
 def _cmd_borel(args):
     t = args.t
     if args.table:
-        top = args.order if args.order is not None else optimal_truncation_index(t) + 5
+        top = args.order
+        if top is None:
+            top = optimal_truncation_index(t, limit=MAX_SERIES_ORDER) + 5
         partials = euler_partial_sums(t, top)
         borel = borel_sum(t, tol=args.tol)
         rows = [

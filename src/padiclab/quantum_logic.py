@@ -3,12 +3,16 @@
 Pauli elements live in the symplectic representation ``i**phase *
 (tensor over j of X**xbits[j] Z**zbits[j])`` with the phase tracked mod 4;
 multiplication is bitwise XOR plus the commutation phase ``2 * sum(z_left *
-x_right)``.  Matrices over the Gaussian rationals (exact rational real and
-imaginary parts) are kept alongside as an independent oracle: the symplectic
-product must agree entrywise with the matrix product, and Clifford
-membership (normalizer of the Pauli group) is decided by exact conjugation
-and Pauli-basis decomposition, never numerically.  Unitaries are accepted up
-to an exact global scalar, so Hadamard-like matrices avoid any 1/sqrt(2).
+x_right)``.  Matrices over the Gaussian rationals are kept alongside as an
+independent oracle, each stored as Gaussian integers (int real and
+imaginary parts) over one common denominator, so products are plain integer
+arithmetic: the symplectic product must agree entrywise with the matrix
+product, and Clifford membership (normalizer of the Pauli group) is decided
+by exact conjugation and Pauli-basis decomposition, never numerically.  A
+Pauli word's matrix is monomial (one entry in {1, i, -1, -i} per column), so
+each decomposition coefficient, the trace inner product tr(B† M) / 2**n,
+is a sum over the 2**n nonzero entries of B.  Unitaries are accepted up to
+an exact global scalar, so Hadamard-like matrices avoid any 1/sqrt(2).
 
 Lattices are finite and explicit: the order is held as one down-set bitmask
 per element, validated by bit tests, and meet and join are read off
@@ -23,7 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
+from math import gcd, lcm
+from operator import mul
 
 from .errors import DomainError, ResourceLimitError
 from .padic_core import require_prime
@@ -83,23 +90,37 @@ class GaussianRational:
         return f"{self.re}{sign}{mag}i"
 
 
-G_ZERO = GaussianRational.of(0)
 G_ONE = GaussianRational.of(1)
-G_I = GaussianRational.of(0, 1)
-#: i**k for k mod 4
-_I_POWERS = (G_ONE, G_I, -G_ONE, -G_I)
+#: i**k for k mod 4, as (re, im)
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
 @dataclass(frozen=True)
 class GaussianMatrix:
-    """Square matrix of exact complex rationals; equality is entrywise."""
+    """Square matrix of exact complex rationals: Gaussian integers over one denominator.
 
-    rows: tuple[tuple[GaussianRational, ...], ...]
+    Entry (i, j) is ``(re[i*dim + j] + im[i*dim + j]*i) / den``.  The form is
+    canonical (den > 0, and den has no common factor with all numerators), so
+    equality and hashing are entrywise; ``rows`` is a ``GaussianRational`` view.
+    """
+
+    dim: int
+    den: int
+    re: tuple[int, ...]
+    im: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.rows)
-        if n == 0 or any(len(row) != n for row in self.rows):
+        if self.dim < 1 or not len(self.re) == len(self.im) == self.dim**2:
             raise DomainError("matrix must be square and nonempty")
+        if self.den < 1 or gcd(self.den, *self.re, *self.im) != 1:
+            raise DomainError("matrix must be in lowest terms over a positive denominator")
+
+    @classmethod
+    def _reduced(cls, dim: int, den: int, re, im) -> "GaussianMatrix":
+        g = gcd(den, *re, *im)
+        if g != 1:
+            den, re, im = den // g, [v // g for v in re], [v // g for v in im]
+        return cls(dim, den, tuple(re), tuple(im))
 
     @classmethod
     def of(cls, entries) -> "GaussianMatrix":
@@ -110,84 +131,97 @@ class GaussianMatrix:
                 return GaussianRational.of(*v)
             return GaussianRational.of(v)
 
-        return cls(tuple(tuple(lift(v) for v in row) for row in entries))
+        rows = [[lift(v) for v in row] for row in entries]
+        n = len(rows)
+        if n == 0 or any(len(row) != n for row in rows):
+            raise DomainError("matrix must be square and nonempty")
+        flat = [v for row in rows for v in row]
+        den = lcm(*(q.denominator for v in flat for q in (v.re, v.im)))
+        return cls._reduced(
+            n,
+            den,
+            [v.re.numerator * (den // v.re.denominator) for v in flat],
+            [v.im.numerator * (den // v.im.denominator) for v in flat],
+        )
 
     @classmethod
     def identity(cls, dim: int) -> "GaussianMatrix":
-        return cls.of([[int(i == j) for j in range(dim)] for i in range(dim)])
+        diagonal = tuple(int(k % (dim + 1) == 0) for k in range(dim * dim))
+        return cls(dim, 1, diagonal, (0,) * (dim * dim))
 
     @property
-    def dim(self) -> int:
-        return len(self.rows)
+    def rows(self) -> tuple[tuple[GaussianRational, ...], ...]:
+        n, d = self.dim, self.den
+        flat = [GaussianRational(Fraction(a, d), Fraction(b, d)) for a, b in zip(self.re, self.im)]
+        return tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n))
+
+    def _same_dim(self, other: "GaussianMatrix") -> int:
+        if self.dim != other.dim:
+            raise DomainError("dimension mismatch")
+        return self.dim
 
     def __matmul__(self, other: "GaussianMatrix") -> "GaussianMatrix":
-        if self.dim != other.dim:
-            raise DomainError("dimension mismatch")
-        n = self.dim
-        return GaussianMatrix(
-            tuple(
-                tuple(
-                    sum(
-                        (self.rows[i][k] * other.rows[k][j] for k in range(n)),
-                        G_ZERO,
-                    )
-                    for j in range(n)
-                )
-                for i in range(n)
-            )
-        )
+        n = self._same_dim(other)
+        cols = [(other.re[j::n], other.im[j::n]) for j in range(n)]
+        re, im = [], []
+        for i in range(0, n * n, n):
+            ar, ai = self.re[i : i + n], self.im[i : i + n]
+            for br, bi in cols:
+                re.append(sum(map(mul, ar, br)) - sum(map(mul, ai, bi)))
+                im.append(sum(map(mul, ar, bi)) + sum(map(mul, ai, br)))
+        return GaussianMatrix._reduced(n, self.den * other.den, re, im)
 
     def __add__(self, other: "GaussianMatrix") -> "GaussianMatrix":
-        if self.dim != other.dim:
-            raise DomainError("dimension mismatch")
-        return GaussianMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
+        n = self._same_dim(other)
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        return GaussianMatrix._reduced(
+            n,
+            den,
+            [s * a + t * b for a, b in zip(self.re, other.re)],
+            [s * a + t * b for a, b in zip(self.im, other.im)],
         )
 
     def scale(self, c: GaussianRational) -> "GaussianMatrix":
-        return GaussianMatrix(tuple(tuple(c * v for v in row) for row in self.rows))
+        cd = lcm(c.re.denominator, c.im.denominator)
+        cr = c.re.numerator * (cd // c.re.denominator)
+        ci = c.im.numerator * (cd // c.im.denominator)
+        pairs = list(zip(self.re, self.im))
+        return GaussianMatrix._reduced(
+            self.dim,
+            self.den * cd,
+            [a * cr - b * ci for a, b in pairs],
+            [a * ci + b * cr for a, b in pairs],
+        )
 
     def conjugate_transpose(self) -> "GaussianMatrix":
         n = self.dim
+        order = [j * n + i for i in range(n) for j in range(n)]
         return GaussianMatrix(
-            tuple(
-                tuple(self.rows[j][i].conjugate() for j in range(n)) for i in range(n)
-            )
+            n, self.den, tuple(self.re[k] for k in order), tuple(-self.im[k] for k in order)
         )
 
     def trace(self) -> GaussianRational:
-        t = G_ZERO
-        for i in range(self.dim):
-            t = t + self.rows[i][i]
-        return t
+        step = self.dim + 1
+        return GaussianRational(
+            Fraction(sum(self.re[::step]), self.den), Fraction(sum(self.im[::step]), self.den)
+        )
 
     def kron(self, other: "GaussianMatrix") -> "GaussianMatrix":
         n, m = self.dim, other.dim
-        return GaussianMatrix(
-            tuple(
-                tuple(
-                    self.rows[i // m][j // m] * other.rows[i % m][j % m]
-                    for j in range(n * m)
-                )
-                for i in range(n * m)
-            )
-        )
+        re, im = [], []
+        for i in range(n * m):
+            for j in range(n * m):
+                a, b = (i // m) * n + j // m, (i % m) * m + j % m
+                x, y, u, v = self.re[a], self.im[a], other.re[b], other.im[b]
+                re.append(x * u - y * v)
+                im.append(x * v + y * u)
+        return GaussianMatrix._reduced(n * m, self.den * other.den, re, im)
 
     def scalar_multiple_of_identity(self) -> GaussianRational | None:
         """The scalar c with self == c*I, or None."""
-        c = self.rows[0][0]
+        c = GaussianRational(Fraction(self.re[0], self.den), Fraction(self.im[0], self.den))
         return c if self == GaussianMatrix.identity(self.dim).scale(c) else None
-
-
-_MAT_1Q = {
-    (0, 0): GaussianMatrix.of([[1, 0], [0, 1]]),
-    (1, 0): GaussianMatrix.of([[0, 1], [1, 0]]),
-    (0, 1): GaussianMatrix.of([[1, 0], [0, -1]]),
-    (1, 1): GaussianMatrix.of([[0, -1], [1, 0]]),  # XZ
-}
 
 
 # -- the Pauli group ----------------------------------------------------------
@@ -235,10 +269,17 @@ class PauliElement:
         return cls(phase, tuple(x), tuple(z))
 
     def to_matrix(self) -> GaussianMatrix:
-        m = _MAT_1Q[(self.xbits[0], self.zbits[0])]
-        for x, z in zip(self.xbits[1:], self.zbits[1:]):
-            m = m.kron(_MAT_1Q[(x, z)])
-        return m.scale(_I_POWERS[self.phase])
+        """The monomial matrix: column c holds i**(phase + 2*|c & z|) in row c ^ x.
+
+        Qubit 0 is the most significant bit of a basis index (the kron order),
+        and Z**z acts before X**x, so X Z = [[0, -1], [1, 0]].
+        """
+        dim, xmask, zmask = 1 << self.n, _mask(self.xbits), _mask(self.zbits)
+        re, im = [0] * (dim * dim), [0] * (dim * dim)
+        for c in range(dim):
+            k = (c ^ xmask) * dim + c
+            re[k], im[k] = _I_POWERS[(self.phase + 2 * (c & zmask).bit_count()) % 4]
+        return GaussianMatrix(dim, 1, tuple(re), tuple(im))
 
     def __str__(self) -> str:
         # render (1,1) bit pairs as Y, folding the i of each XZ into the phase
@@ -247,6 +288,10 @@ class PauliElement:
         ys = word.count("Y")
         prefix = {0: "", 1: "i", 2: "-", 3: "-i"}[(self.phase - ys) % 4]
         return prefix + word
+
+
+def _mask(bits: tuple[int, ...]) -> int:
+    return int("".join(map(str, bits)), 2)
 
 
 def pauli_mul(x: PauliElement, y: PauliElement) -> PauliElement:
@@ -302,16 +347,31 @@ def pauli_basis(n: int = 1) -> list[PauliElement]:
     return out
 
 
+@lru_cache(maxsize=3)
+def _basis_support(n: int) -> tuple:
+    """Each sigma word of ``pauli_basis(n)`` with its matrix's nonzero (index, re, im)."""
+    out = []
+    for b in pauli_basis(n):
+        m = b.to_matrix()
+        out.append((b, [(k, r, s) for k, (r, s) in enumerate(zip(m.re, m.im)) if r or s]))
+    return tuple(out)
+
+
 def decompose_in_pauli_basis(m: GaussianMatrix, n: int = 1) -> dict[PauliElement, GaussianRational]:
-    """Coefficients of m in the sigma basis via the trace inner product."""
+    """Coefficients of m in the sigma basis via the trace inner product.
+
+    The coefficient of B is tr(B† m) / 2**n, the sum of conj(B_ij) * m_ij
+    over the 2**n nonzero entries of the monomial B: no matrix product.
+    """
     if m.dim != 2**n:
         raise DomainError(f"expected a {2**n}x{2**n} matrix")
-    dim_inv = GaussianRational.of(Fraction(1, 2**n))
+    den = m.den << n
     out = {}
-    for b in pauli_basis(n):
-        coeff = (b.to_matrix().conjugate_transpose() @ m).trace() * dim_inv
-        if not coeff.is_zero:
-            out[b] = coeff
+    for b, support in _basis_support(n):
+        re = sum(r * m.re[k] + s * m.im[k] for k, r, s in support)
+        im = sum(r * m.im[k] - s * m.re[k] for k, r, s in support)
+        if re or im:
+            out[b] = GaussianRational(Fraction(re, den), Fraction(im, den))
     return out
 
 
@@ -364,8 +424,7 @@ def pauli_basis_check(n: int = 1) -> BasisReport:
         raise ResourceLimitError("basis checking is supported for n <= 3")
     vectors = []
     for b in pauli_basis(n):
-        m = b.to_matrix()
-        vectors.append([m.rows[i][j] for i in range(m.dim) for j in range(m.dim)])
+        vectors.append([v for row in b.to_matrix().rows for v in row])
     rank = _rank(vectors)
     full = 4**n
     return BasisReport(independent=rank == full, spanning=rank == full)

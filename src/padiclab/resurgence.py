@@ -84,7 +84,9 @@ class EulerSeries:
         if order < 0:
             raise DomainError("order must be >= 0")
         if order > MAX_SERIES_ORDER:
-            raise ResourceLimitError(f"series order {order} exceeds the limit {MAX_SERIES_ORDER}")
+            # CPython won't print an int of over 4300 digits; 10**30 keeps the message short
+            shown = order if order < 10**30 else f"of {order.bit_length()} bits"
+            raise ResourceLimitError(f"series order {shown} exceeds the limit {MAX_SERIES_ORDER}")
         cs = [1]
         for m in range(1, order + 1):
             cs.append(-cs[-1] * m)
@@ -122,13 +124,21 @@ def euler_partial_sums(t, order: int) -> list[mpf]:
         return list(accumulate(c * tv ** (m + 1) for m, c in enumerate(coefficients)))
 
 
-def optimal_truncation_index(t) -> int:
+def optimal_truncation_index(t, limit: int | None = None) -> int:
     """The first index minimizing the term magnitude m! * t**(m+1).
 
     Term m+1 is (m+1)*t times term m, so the first minimizer is ceil(1/t) - 1
     on the exact rational ``t`` (as ``Fraction`` reads it); on the ties
-    t = 1/k that is the smaller index.
+    t = 1/k that is the smaller index.  Given ``limit``, a t below
+    1/(2*limit + 2), whose index is far above it, is refused from its 40-digit
+    value before the exact rational (10**9999999 for 1e-9999999) is built.
     """
+    if limit is not None:
+        with mp.workdps(WORKING_DPS):
+            if _require_positive(t) * (2 * limit + 2) < 1:
+                raise ResourceLimitError(
+                    f"t = {quoted(t)} needs a series order above the limit {limit}"
+                )
     try:
         tq = Fraction(t)
     except (TypeError, ValueError, OverflowError) as exc:

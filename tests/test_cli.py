@@ -482,6 +482,29 @@ def test_oversized_borel_table_refused_before_any_row(monkeypatch):
         assert "series order" in err
 
 
+@pytest.mark.parametrize("json_mode", [False, True])
+@pytest.mark.parametrize("t", ["1e-99999", "1e-9999999"])
+def test_tiny_t_table_refused_before_the_exact_rational(t, json_mode):
+    # ceil(1/t) - 1 has over 4300 digits; Fraction("1e-9999999") alone took seconds
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "padiclab", "borel", "--t", t, "--table",
+         *(["--json"] if json_mode else [])],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert len(proc.stderr.strip().splitlines()) == 1
+    if json_mode:
+        payload = json.loads(proc.stderr)
+        load_schema("error").validate(payload)
+        assert payload["error_code"] == "resource_limit"
+    else:
+        assert "series order above the limit 500" in proc.stderr
+
+
 @pytest.mark.parametrize("samples, degree", [(101, 4), (1, 500)])
 def test_seminorm_work_bound(samples, degree):
     # samples**2 * (degree + 1)**2 just above 250000
@@ -617,6 +640,46 @@ def test_hensel_output_bound_refuses_before_any_lift(monkeypatch):
     code, out, err = run_cli(*argv, "--json")
     assert (code, out) == (3, "")
     assert json.loads(err)["error_code"] == "resource_limit"
+
+
+@pytest.mark.parametrize("json_mode", [False, True])
+def test_hensel_lift_work_refused_before_any_lift(monkeypatch, json_mode):
+    # 10001 Horner terms times 800 moduli up to 2**801: far past the work bound
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the work bound must refuse before any lift")
+
+    monkeypatch.setattr("padiclab.cli.hensel_lift", unreachable)
+    argv = ["hensel", "--poly", "x^10000+x+2", "--p", "2", "--x0", "0", "--k", "800"]
+    t0 = time.perf_counter()
+    code, out, err = run_cli(*argv, *(["--json"] if json_mode else []))
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (3, "")
+    assert len(err.strip().splitlines()) == 1
+    if json_mode:
+        payload = json.loads(err)
+        load_schema("error").validate(payload)
+        assert payload["error_code"] == "resource_limit"
+    else:
+        assert "work units" in err
+
+
+def _lift_work(p: int, k: int) -> int:
+    # one Horner step mod p**(i+1), i = 1..k, costs (bits + 256)**2
+    return sum((len(bin(p ** (i + 1))) - 2 + 256) ** 2 for i in range(1, k + 1))
+
+
+@pytest.mark.parametrize("p, k", [(2, 4461), (7, 400), (101, 100), (4294967291, 20)])
+def test_hensel_work_bound_admits_up_to_its_constant(p, k):
+    terms = cli._HENSEL_WORK // _lift_work(p, k)
+    cli._check_hensel_work(p, k, terms)
+    with pytest.raises(ResourceLimitError, match="work units"):
+        cli._check_hensel_work(p, k, terms + 1)
+
+
+def test_hensel_work_bound_keeps_quadratics_at_the_output_bound():
+    # the largest k the output bound admits still lifts a quadratic
+    for p, k in [(2, 4461), (3, 3543), (7, 2662)]:
+        cli._check_hensel_work(p, k, 3)
 
 
 @pytest.mark.parametrize("p, k", [(2, 4461), (3, 3543), (7, 2662)])

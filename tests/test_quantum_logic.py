@@ -8,10 +8,11 @@ structure, and exact Gaussian-rational matrices used as the oracle.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from padiclab import (
@@ -64,6 +65,99 @@ def test_gaussian_rational_field_ops():
 def test_gaussian_matrix_mul_identity():
     m = GaussianMatrix.of([[1, 2], [3, 4]])
     assert m @ GaussianMatrix.identity(2) == m
+
+
+# A GaussianMatrix keeps integer numerators over one denominator; the
+# reference below works entrywise on (re, im) pairs of Fractions.
+
+_RATIONALS = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6))
+_ENTRIES = st.one_of(st.just((Fraction(0), Fraction(0))), st.tuples(_RATIONALS, _RATIONALS))
+
+
+def _square(n: int):
+    return st.lists(st.lists(_ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+_SQUARES = st.sampled_from([1, 2, 4]).flatmap(_square)
+
+
+def _pairs(m: GaussianMatrix) -> list:
+    return [[(v.re, v.im) for v in row] for row in m.rows]
+
+
+def _cmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _csum(values):
+    values = list(values)
+    return (sum(v[0] for v in values), sum(v[1] for v in values))
+
+
+def _assert_canonical(m: GaussianMatrix):
+    assert m.den > 0 and gcd(m.den, *m.re, *m.im) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_SQUARES, data=st.data())
+def test_matrix_ops_match_a_fraction_reference(a, data):
+    n = len(a)
+    b = data.draw(_square(n))
+    c = data.draw(_ENTRIES)
+    k = data.draw(_SQUARES)
+    ma, mb, mk = GaussianMatrix.of(a), GaussianMatrix.of(b), GaussianMatrix.of(k)
+    for mat in (ma, mb, mk):
+        _assert_canonical(mat)
+        assert GaussianMatrix.of(mat.rows) == mat
+    matmul = [
+        [_csum(_cmul(a[i][t], b[t][j]) for t in range(n)) for j in range(n)] for i in range(n)
+    ]
+    assert _pairs(ma @ mb) == matmul
+    add = [[(x[0] + y[0], x[1] + y[1]) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    assert _pairs(ma + mb) == add
+    assert _pairs(ma.scale(GaussianRational(*c))) == [[_cmul(c, x) for x in row] for row in a]
+    adjoint = [[(a[j][i][0], -a[j][i][1]) for j in range(n)] for i in range(n)]
+    assert _pairs(ma.conjugate_transpose()) == adjoint
+    trace = ma.trace()
+    assert (trace.re, trace.im) == _csum(a[i][i] for i in range(n))
+    m = len(k)
+    kron = [[_cmul(a[i // m][j // m], k[i % m][j % m]) for j in range(n * m)] for i in range(n * m)]
+    assert _pairs(ma.kron(mk)) == kron
+    for result in (ma @ mb, ma + mb, ma.scale(GaussianRational(*c)), ma.kron(mk)):
+        _assert_canonical(result)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_SQUARES, c=st.tuples(_RATIONALS, _RATIONALS))
+def test_equal_matrices_over_other_denominators_are_equal_and_hash_alike(a, c):
+    assume(c != (0, 0))
+    m = GaussianMatrix.of(a)
+    c = GaussianRational(*c)
+    round_trip = m.scale(c).scale(GaussianRational.of(1) / c)
+    assert round_trip == m and hash(round_trip) == hash(m)
+    assert GaussianMatrix.of(m.rows) == m and hash(GaussianMatrix.of(m.rows)) == hash(m)
+
+
+def test_half_identity_built_two_ways():
+    half = Fraction(1, 2)
+    a = GaussianMatrix.of([[half, 0], [0, half]])
+    b = GaussianMatrix.identity(2).scale(GaussianRational.of(half))
+    assert a == b and hash(a) == hash(b)
+    assert (a.den, a.re, a.im) == (2, (1, 0, 0, 1), (0, 0, 0, 0))
+    assert GaussianMatrix.of([[0, 0], [0, 0]]).den == 1
+
+
+def test_matrix_shape_and_form_are_checked():
+    with pytest.raises(DomainError, match="square"):
+        GaussianMatrix.of([[1, 2, 3], [4]])
+    with pytest.raises(DomainError, match="square"):
+        GaussianMatrix.of([])
+    with pytest.raises(DomainError, match="lowest terms"):
+        GaussianMatrix(1, 2, (2,), (0,))
+    with pytest.raises(DomainError, match="lowest terms"):
+        GaussianMatrix(1, -1, (1,), (0,))
+    with pytest.raises(DomainError, match="dimension mismatch"):
+        GaussianMatrix.identity(2) @ GaussianMatrix.identity(4)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +339,106 @@ def test_cnot_in_normalizer_2q():
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
     )
     assert is_in_normalizer(cnot, 2).member
+
+
+# Clifford conjugation against stabilizer tableaus (Gottesman 1998; Aaronson &
+# Gottesman 2004): each gate's action on X_0, Z_0, X_1, Z_1 is written down
+# here, composed with the symplectic product, and never touches a matrix.
+
+EYE2 = GaussianMatrix.identity(2)
+PAULI_2Q = {w: PauliElement.single(w[0], int(w[1]), 2) for w in ("X0", "Z0", "X1", "Z1")}
+
+
+def _word(*letters: str) -> PauliElement:
+    """Product of single-qubit letters like "X0", "Z1", in order."""
+    acc = PauliElement.identity(2)
+    for w in letters:
+        acc = pauli_mul(acc, PAULI_2Q[w])
+    return acc
+
+
+# gate name -> (matrix, images of X0, Z0, X1, Z1 under g -> U g U^dagger)
+GATES_2Q = {
+    "H0": (HADAMARD_LIKE.kron(EYE2), (_word("Z0"), _word("X0"), _word("X1"), _word("Z1"))),
+    "H1": (EYE2.kron(HADAMARD_LIKE), (_word("X0"), _word("Z0"), _word("Z1"), _word("X1"))),
+    # S X S^dagger = Y = i X Z
+    "S0": (PHASE_S.kron(EYE2), (pauli_mul(PauliElement(1, (0, 0), (0, 0)), _word("X0", "Z0")),
+                                _word("Z0"), _word("X1"), _word("Z1"))),
+    "S1": (EYE2.kron(PHASE_S), (_word("X0"), _word("Z0"),
+                                pauli_mul(PauliElement(1, (0, 0), (0, 0)), _word("X1", "Z1")),
+                                _word("Z1"))),
+    "CNOT": (
+        GaussianMatrix.of([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+        (_word("X0", "X1"), _word("Z0"), _word("X1"), _word("Z0", "Z1")),
+    ),
+    "CZ": (
+        GaussianMatrix.of([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]),
+        (_word("X0", "Z1"), _word("Z0"), _word("Z0", "X1"), _word("Z1")),
+    ),
+    "SWAP": (
+        GaussianMatrix.of([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]),
+        (_word("X1"), _word("Z1"), _word("X0"), _word("Z0")),
+    ),
+}
+GATE_PRODUCTS = [
+    names
+    for length in (1, 2, 3)
+    for names in product(GATES_2Q, repeat=length)
+]
+
+
+def _conjugate_by_tableau(name: str, g: PauliElement) -> PauliElement:
+    """U g U^dagger for the gate ``name``, read off its generator images."""
+    images = GATES_2Q[name][1]
+    acc = PauliElement(g.phase, (0, 0), (0, 0))
+    for j in range(2):  # g = i**phase * X0**x0 Z0**z0 * X1**x1 Z1**z1
+        if g.xbits[j]:
+            acc = pauli_mul(acc, images[2 * j])
+        if g.zbits[j]:
+            acc = pauli_mul(acc, images[2 * j + 1])
+    return acc
+
+
+def _gate_product(names) -> GaussianMatrix:
+    u = GATES_2Q[names[0]][0]
+    for name in names[1:]:
+        u = u @ GATES_2Q[name][0]
+    return u
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_clifford_conjugation_matches_stabilizer_tableaus(length):
+    for names in (n for n in GATE_PRODUCTS if len(n) == length):
+        u = _gate_product(names)
+        udag = u.conjugate_transpose()
+        c = (u @ udag).scalar_multiple_of_identity()
+        for g in PAULI_2Q.values():
+            want = g
+            for name in reversed(names):  # the rightmost gate acts first
+                want = _conjugate_by_tableau(name, want)
+            # want = i**k * sigma with sigma the phase-free word of the same bits
+            ys = sum(a & b for a, b in zip(want.xbits, want.zbits))
+            sigma = PauliElement(ys % 4, want.xbits, want.zbits)
+            sign = {0: 1, 2: -1}[(want.phase - ys) % 4]  # Hermitian image: real sign
+            image = (u @ g.to_matrix() @ udag).scale(GaussianRational.of(1) / c)
+            want_terms = {sigma: GaussianRational.of(sign)}
+            assert decompose_in_pauli_basis(image, 2) == want_terms, (names, g)
+        assert is_in_normalizer(u, 2).member
+
+
+def test_non_clifford_factor_fails_at_the_first_generator():
+    # a Clifford prefix permutes the signed Pauli words, so the witness is the
+    # first generator the non-Clifford factor itself spoils: X on qubit 0
+    non_clifford = [
+        GaussianMatrix.of([[1, 0], [0, ZETA]]).kron(EYE2),
+        GaussianMatrix.of([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, ZETA]]),
+    ]
+    for names in GATE_PRODUCTS:
+        u = _gate_product(names)
+        for v in non_clifford:
+            check = is_in_normalizer(u @ v)
+            assert not check.member
+            assert str(check.failing_generator) == "XI", names
 
 
 # ---------------------------------------------------------------------------

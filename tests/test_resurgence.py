@@ -119,6 +119,22 @@ def test_optimal_truncation_frozen():
     assert optimal_truncation_index(2) in (0, 1)
 
 
+def test_optimal_truncation_limit_refuses_far_past_it():
+    assert optimal_truncation_index("1/600", limit=500) == 599  # decided exactly
+    assert optimal_truncation_index("1/1001", limit=500) == 1000
+    with pytest.raises(ResourceLimitError, match="series order above the limit 500"):
+        optimal_truncation_index("1/1003", limit=500)
+    with pytest.raises(ResourceLimitError, match="series order above the limit 500"):
+        optimal_truncation_index("1e-9999999", limit=500)
+    with pytest.raises(DomainError):
+        optimal_truncation_index("0", limit=500)
+
+
+def test_unprintable_series_order_keeps_a_short_message():
+    with pytest.raises(ResourceLimitError, match="series order of 16610 bits exceeds the limit"):
+        EulerSeries.up_to(10**5000)
+
+
 def test_optimal_truncation_ties_take_smaller_index():
     # t = 1/k gives equal consecutive terms; rule: smaller index wins
     assert optimal_truncation_index(Fraction(1, 10)) == 9
