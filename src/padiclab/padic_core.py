@@ -20,8 +20,8 @@ This module is also the package's exact-arithmetic core.  ``is_prime`` is
 its only primality test; ``_digits`` and ``_poly_eval`` are its only base-p
 digit encoder and decoder; and the ``_poly_*`` coefficient-tuple helpers
 (add, mul, Horner evaluation, derivative, rendering) serve
-``RationalPolynomial`` here, ``FqPolynomial`` in ``valuations_product`` and
-the lifting in ``hensel``.
+``RationalPolynomial`` here (int numerators over one denominator),
+``FqPolynomial`` in ``valuations_product`` and the lifting in ``hensel``.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from itertools import product, zip_longest
+from math import gcd, lcm
 
 from .errors import (
     DomainError,
@@ -470,61 +471,89 @@ def parse_expansion_string(s: str, p: int, r: int) -> PadicNumber:
 
 @dataclass(frozen=True)
 class RationalPolynomial:
-    """Polynomial with exact rational coefficients, index i = coeff of x**i.
+    """Polynomial with exact rational coefficients: integers over one denominator.
 
-    Trailing zeros are trimmed; the zero polynomial is the empty tuple.
+    Coefficient i (of x**i) is ``nums[i] / den``.  The form is canonical
+    (den > 0, no common factor of den and every numerator, no trailing zero
+    numerator), so equality and hashing are coefficientwise;
+    ``coefficients`` is a ``Fraction`` view.  Zero is ``(1, ())``.
     """
 
-    coefficients: tuple[Fraction, ...]
+    den: int
+    nums: tuple[int, ...]
 
     def __post_init__(self):
-        if self.coefficients and self.coefficients[-1] == 0:
+        if self.nums and self.nums[-1] == 0:
             raise DomainError("trailing zero coefficients must be trimmed")
+        if self.den < 1 or gcd(self.den, *self.nums) != 1:
+            raise DomainError("polynomial must be in lowest terms over a positive denominator")
+
+    @classmethod
+    def _reduced(cls, den: int, nums) -> "RationalPolynomial":
+        nums = list(nums)
+        while nums and nums[-1] == 0:
+            nums.pop()
+        g = gcd(den, *nums)
+        if g != 1:
+            den, nums = den // g, [n // g for n in nums]
+        return cls(den, tuple(nums))
 
     @classmethod
     def of(cls, *coeffs) -> "RationalPolynomial":
         cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return cls(tuple(cs))
+        den = lcm(*(c.denominator for c in cs))
+        return cls._reduced(den, [c.numerator * (den // c.denominator) for c in cs])
+
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coefficients
+        return not self.nums
 
     @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
-        return len(self.coefficients) - 1
+        return len(self.nums) - 1
 
     def __call__(self, x):
-        return Fraction(0) + _poly_eval(self.coefficients, x)
+        return _poly_eval(self.nums, x) / Fraction(self.den)
 
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        return RationalPolynomial.of(*_poly_add(self.coefficients, other.coefficients))
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        return RationalPolynomial._reduced(
+            den, _poly_add([s * a for a in self.nums], [t * b for b in other.nums])
+        )
 
     def __neg__(self) -> "RationalPolynomial":
-        return RationalPolynomial(tuple(-c for c in self.coefficients))
+        return RationalPolynomial(self.den, tuple(-n for n in self.nums))
 
     def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         return self + (-other)
 
     def __mul__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        return RationalPolynomial.of(*_poly_mul(self.coefficients, other.coefficients))
+        return RationalPolynomial._reduced(self.den * other.den, _poly_mul(self.nums, other.nums))
 
     def derivative(self) -> "RationalPolynomial":
-        return RationalPolynomial.of(*_poly_derivative(self.coefficients))
+        return RationalPolynomial._reduced(self.den, _poly_derivative(self.nums))
 
     def __str__(self) -> str:
         return _poly_str(self.coefficients, " + ")
 
 
 def gauss_norm(f: RationalPolynomial, p: int) -> Fraction:
-    """max over coefficients of |.|_p; multiplicative by Gauss's lemma."""
+    """max over coefficients of |.|_p; multiplicative by Gauss's lemma.
+
+    On the canonical form this is p**(v_p(den) - min_i v_p(nums[i])), and
+    min_i v_p(nums[i]) is v_p of the numerators' gcd.
+    """
     require_prime(p)
     if f.is_zero:
         return Fraction(0)
-    return max(norm(c, p) for c in f.coefficients)
+    e = _int_valuation(f.den, p) - _int_valuation(gcd(*f.nums), p)
+    return Fraction(p**e) if e >= 0 else Fraction(1, p**-e)
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,9 @@ DEFAULT_TOL = "1e-10"
 MAX_SERIES_ORDER = 500
 #: e**(1/t) is refused as a summand below this t.
 GROWTH_GUARD_T = Fraction(1, 10**6)
+#: The quadrature is refused above this t: at the default tol t = 1e60 converges
+#: with 2048 nodes, 1e62 needs 32768, and from 1e64 up no level reaches it.
+MAX_QUADRATURE_T = 10**60
 
 
 def _unparsable(t, exc: Exception) -> DomainError | ResourceLimitError:
@@ -131,14 +134,18 @@ def optimal_truncation_index(t, limit: int | None = None) -> int:
     on the exact rational ``t`` (as ``Fraction`` reads it); on the ties
     t = 1/k that is the smaller index.  Given ``limit``, a t below
     1/(2*limit + 2), whose index is far above it, is refused from its 40-digit
-    value before the exact rational (10**9999999 for 1e-9999999) is built.
+    value before the exact rational (10**9999999 for 1e-9999999) is built,
+    and a t above 2, whose index is 0, is answered from that value alike.
     """
     if limit is not None:
         with mp.workdps(WORKING_DPS):
-            if _require_positive(t) * (2 * limit + 2) < 1:
+            tv = _require_positive(t)
+            if tv * (2 * limit + 2) < 1:
                 raise ResourceLimitError(
                     f"t = {quoted(t)} needs a series order above the limit {limit}"
                 )
+            if tv > 2:
+                return 0
     try:
         tq = Fraction(t)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -190,10 +197,13 @@ def borel_sum(t, tol=DEFAULT_TOL) -> SummationResult:
     u = exp(w - exp(-w)), trapezoid on w in [-5, 5], doubling the node
     count until two successive estimates agree to ``tol`` (relative).
     The t-free part of each node is computed once per process for levels
-    up to ``TABLE_NODES`` nodes and recomputed beyond them.
+    up to ``TABLE_NODES`` nodes and recomputed beyond them.  A t above
+    ``MAX_QUADRATURE_T`` is refused before any node.
     """
     with mp.workdps(WORKING_DPS):
         tv = _require_positive(t)
+        if tv > MAX_QUADRATURE_T:
+            raise ResourceLimitError(f"t = {quoted(t)} exceeds the quadrature limit 1e60")
         tolv = _to_mp(tol)
 
         def g(part):
@@ -272,7 +282,7 @@ def general_solution(t, a, tol=DEFAULT_TOL) -> SummationResult:
                 f"exp(1/t) at t={t} exceeds any usable scale; "
                 "pass a=0 or t >= 1e-6"
             )
-        base = borel_sum(tv, tol=tol)
+        base = borel_sum(t, tol=tol)
         value = base.value + av * mp.exp(1 / tv)
         return SummationResult(value, f"general(a={av})", base.error_estimate)
 

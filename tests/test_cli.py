@@ -516,6 +516,55 @@ def test_seminorm_work_bound(samples, degree):
 
 
 @pytest.mark.parametrize(
+    "samples, degree",
+    [(166, 0), (144, 1), (121, 2), (87, 4), (1, 498)],
+)
+def test_seminorm_work_bound_counts_a_per_pair_constant(samples, degree):
+    # the largest admitted sample count at each degree, and one more
+    cli._check_seminorm_work(samples, degree)
+    with pytest.raises(ResourceLimitError, match="exceeds 250000"):
+        cli._check_seminorm_work(samples + 1, degree)
+
+
+def test_seminorm_work_bound_keeps_the_documented_runs():
+    for samples in (12, 30, 40):
+        cli._check_seminorm_work(samples, 4)
+
+
+def test_seminorm_check_at_degree_0_stays_desk_scale():
+    # the slowest admitted corner: ~0.6 s in process on a 2-vCPU host
+    t0 = time.perf_counter()
+    code, out, _ = run_cli("seminorm-check", "--samples", "166", "--degree", "0")
+    assert time.perf_counter() - t0 < 3.0
+    assert (code, out.split()) == (0, ["zero_norm:", "pass", "unit_norm:", "pass",
+                                       "multiplicative:", "pass", "triangle:", "pass"])
+
+
+@pytest.mark.parametrize("json_mode", [False, True])
+@pytest.mark.parametrize("table", [False, True])
+def test_huge_t_refused_before_the_quadrature(table, json_mode):
+    # every t from 1e64 up climbed to 131072 nodes and failed after ~8 s; --table
+    # also built Fraction("1e9999999") for the truncation index
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "padiclab", "borel", "--t", "1e9999999",
+         *(["--table"] if table else []), *(["--json"] if json_mode else [])],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert len(proc.stderr.strip().splitlines()) == 1
+    if json_mode:
+        payload = json.loads(proc.stderr)
+        load_schema("error").validate(payload)
+        assert payload["error_code"] == "resource_limit"
+    else:
+        assert "exceeds the quadrature limit 1e60" in proc.stderr
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["seminorm-check", "--samples", "0"],

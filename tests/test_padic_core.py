@@ -570,3 +570,141 @@ def test_rational_polynomial_str(coeffs, text):
 
 def test_fq_polynomial_str():
     assert str(FqPolynomial.of(5, 1, 2, 0, 3)) == "3x^3+2x+1"
+
+
+# -- RationalPolynomial: integers over one denominator -------------------------
+#
+# The reference is the plain representation: a tuple of Fractions, index i the
+# coefficient of x**i, trailing zeros trimmed.
+
+
+def ref_trim(cs) -> tuple[Fraction, ...]:
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b) -> tuple[Fraction, ...]:
+    n = max(len(a), len(b))
+    a, b = a + (Fraction(0),) * (n - len(a)), b + (Fraction(0),) * (n - len(b))
+    return ref_trim(x + y for x, y in zip(a, b))
+
+
+def ref_mul(a, b) -> tuple[Fraction, ...]:
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_trim(out)
+
+
+def ref_eval(a, x) -> Fraction:
+    return sum((c * Fraction(x) ** i for i, c in enumerate(a)), Fraction(0))
+
+
+wide_coeff_st = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-(10**9), 10**9), st.integers(1, 10**6)),
+)
+wide_coeffs_st = st.lists(wide_coeff_st, max_size=6).map(tuple)
+
+
+@settings(deadline=None)
+@given(a=wide_coeffs_st, b=wide_coeffs_st, x=wide_coeff_st)
+def test_rational_polynomial_matches_a_fraction_reference(a, b, x):
+    f, g = RationalPolynomial.of(*a), RationalPolynomial.of(*b)
+    ra, rb = ref_trim(a), ref_trim(b)
+    assert f.coefficients == ra and g.coefficients == rb
+    assert all(type(c) is Fraction for c in f.coefficients)
+    assert f.degree == len(ra) - 1 and f.is_zero == (not ra)
+    assert (f + g).coefficients == ref_add(ra, rb)
+    assert (f - g).coefficients == ref_add(ra, tuple(-c for c in rb))
+    assert (-f).coefficients == tuple(-c for c in ra)
+    assert (f * g).coefficients == ref_mul(ra, rb)
+    assert f.derivative().coefficients == ref_trim(i * c for i, c in enumerate(ra))[1:]
+    assert f(x) == ref_eval(ra, x) and type(f(x)) is Fraction
+    assert f(3) == ref_eval(ra, 3)
+    assert str(f) == str(RationalPolynomial.of(*ra))
+    # canonical form: positive denominator sharing no factor with every numerator
+    for h in (f, g, f + g, f - g, f * g, f.derivative()):
+        assert h.den >= 1 and math.gcd(h.den, *h.nums) == 1
+        assert not h.nums or h.nums[-1] != 0
+        assert RationalPolynomial.of(*h.coefficients) == h
+
+
+@pytest.mark.parametrize(
+    "coeffs, text",
+    [
+        ((Fraction(1, 10**6), -1, Fraction(-7, 3)), "-7/3x^2 - x + 1/1000000"),
+        ((0, Fraction(-5, 5)), "-x"),
+        ((Fraction(4, 2), 0, 0), "2"),
+    ],
+)
+def test_rational_polynomial_str_over_one_denominator(coeffs, text):
+    assert str(RationalPolynomial.of(*coeffs)) == text
+
+
+def gauss_norm_by_coefficients(f: RationalPolynomial, p: int) -> Fraction:
+    """The Gauss norm as the maximum of the coefficients' norms."""
+    return max((norm(c, p) for c in f.coefficients), default=Fraction(0))
+
+
+@given(coeffs=wide_coeffs_st, p=st.sampled_from([2, 3, 5, 7, 101, 4294967291]))
+def test_gauss_norm_matches_the_coefficient_route(coeffs, p):
+    f = RationalPolynomial.of(*coeffs)
+    got = gauss_norm(f, p)
+    assert got == gauss_norm_by_coefficients(f, p) and type(got) is Fraction
+
+
+def test_gauss_norm_reads_both_sides_of_the_denominator():
+    # 5x/9 + 3/4 over 36: v_3(36) = 2, v_3 of the numerators (27, 20) is 0
+    assert gauss_norm(RationalPolynomial.of(Fraction(3, 4), Fraction(5, 9)), 3) == 9
+    # 18x + 12 over 1: v_2 = min(2, 1) = 1
+    assert gauss_norm(RationalPolynomial.of(12, 18), 2) == Fraction(1, 2)
+    # 25/3 x^2 over 3: v_5 = 2 in the numerator
+    assert gauss_norm(RationalPolynomial.of(0, 0, Fraction(25, 3)), 5) == Fraction(1, 25)
+
+
+def test_gauss_norm_checks_the_prime_once(monkeypatch):
+    import padiclab.padic_core as core
+
+    calls = []
+    monkeypatch.setattr(core, "require_prime", lambda p: calls.append(p) or p)
+    f = RationalPolynomial.of(3, Fraction(1, 2), 0, Fraction(-7, 9), 5)
+    assert gauss_norm(f, 3) == 9
+    assert calls == [3]
+    monkeypatch.undo()
+    for g in (f, RationalPolynomial.of()):
+        with pytest.raises(NotPrimeError):
+            gauss_norm(g, 4)
+
+
+def test_one_polynomial_over_two_denominators_is_equal_and_hashes_alike():
+    # x/2 + 1/3 reached over 6 directly, and over 36 before the reduction
+    f = RationalPolynomial.of(Fraction(1, 3), Fraction(1, 2))
+    g = RationalPolynomial.of(Fraction(1, 6)) * RationalPolynomial.of(2, 3)
+    h = RationalPolynomial.of(Fraction(5, 12), Fraction(1, 4)) + RationalPolynomial.of(
+        Fraction(-1, 12), Fraction(1, 4)
+    )
+    assert (f.den, f.nums) == (6, (2, 3))
+    assert f == g == h and hash(f) == hash(g) == hash(h)
+    assert len({f, g, h}) == 1
+    assert RationalPolynomial.of(Fraction(1, 2)) - RationalPolynomial.of(
+        Fraction(1, 2)
+    ) == RationalPolynomial.of()
+
+
+@pytest.mark.parametrize(
+    "den, nums",
+    [
+        (2, (2, 4)),  # common factor 2
+        (0, (1,)),  # no denominator
+        (-1, (1,)),  # negative denominator
+        (1, (1, 0)),  # trailing zero
+        (3, ()),  # zero over a denominator other than 1
+    ],
+)
+def test_non_canonical_polynomial_is_rejected(den, nums):
+    with pytest.raises(DomainError):
+        RationalPolynomial(den, nums)

@@ -389,3 +389,30 @@ def test_defect_matches_numeric_residual():
     s = EulerSeries.up_to(n).as_polynomial()
     lhs = (Fraction(1, 3)) - s(t) - t**2 * s.derivative()(t)
     assert lhs == truncated_series_defect(n)(t)
+
+
+@pytest.mark.parametrize("t", ["1e61", 10**60 + 10**30, Fraction(10**70, 3), "inf"])
+def test_quadrature_refuses_t_above_its_limit(t):
+    with pytest.raises(ResourceLimitError, match="quadrature limit"):
+        borel_sum(t)
+    with pytest.raises(ResourceLimitError, match="quadrature limit"):
+        general_solution(t, 1)
+
+
+@pytest.mark.parametrize("t", ["1e60", 10**60])
+def test_quadrature_admits_t_at_its_limit(t):
+    result = borel_sum(t)
+    assert result.method == "borel(nodes=2048)"
+    # y_B(t) = exp(x) E1(x) at x = 1/t (mpmath's E1: the continued fraction
+    # of exp_e1_oracle does not converge this close to x = 0).  The window
+    # w >= -5 starts at u = exp(-5 - e**5) ~ 2.5e-67 and drops about t times
+    # that, 2.5e-7 here: an open accuracy item, so only 1e-8 is asserted.
+    with mp.workdps(40):
+        x = 1 / mp.mpf(t)
+        want = mp.exp(x) * mp.e1(x)
+    assert abs(result.value - want) < 1e-8 * want
+
+
+@pytest.mark.parametrize("t", ["3", "1e30", "1e9999999", Fraction(5, 2)])
+def test_large_t_truncates_at_order_0(t):
+    assert optimal_truncation_index(t, limit=MAX_SERIES_ORDER) == 0
