@@ -8,6 +8,7 @@ cases are cross-checked against brute-force root enumeration mod p^k.
 from __future__ import annotations
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from padiclab import (
     LiftTrace,
     NotARootError,
     PadicNumber,
+    RationalPolynomial,
     ResourceLimitError,
     SingularRootError,
     hensel_lift,
@@ -51,6 +53,21 @@ def test_roots_mod_p_examples():
 def test_roots_mod_p_rejects_zero_polynomial():
     with pytest.raises(DomainError):
         roots_mod_p((7, 7), 7)  # f == 0 mod 7: every residue is a root
+
+
+def test_rational_polynomial_with_integer_coefficients_is_accepted():
+    f = RationalPolynomial.of(-2, 0, 1)
+    assert roots_mod_p(f, 7) == roots_mod_p(X2_MINUS_2, 7) == [3, 4]
+    for method in ("digit", "newton"):
+        assert hensel_lift(f, 3, 7, 5, method) == hensel_lift(X2_MINUS_2, 3, 7, 5, method)
+
+
+def test_rational_polynomial_with_a_fraction_is_rejected():
+    f = RationalPolynomial.of(Fraction(-1, 2), 0, 1)
+    with pytest.raises(DomainError, match="integer coefficients"):
+        roots_mod_p(f, 7)
+    with pytest.raises(DomainError, match="integer coefficients"):
+        hensel_lift(f, 3, 7, 2)
 
 
 @given(

@@ -368,6 +368,71 @@ def test_ff_product_formula_random(p, data):
     assert product_formula_check_ff(RationalFunction.of(num, den)) == 1
 
 
+def test_place_rejects_constant_reducible_and_non_monic_polynomials():
+    x = FqPolynomial.x(2)
+    with pytest.raises(DomainError, match="not monic irreducible"):
+        Place.finite_poly(FqPolynomial.one(2))  # monic, degree 0
+    with pytest.raises(DomainError, match="not monic irreducible"):
+        Place.finite_poly(x * x + x)  # x(x+1)
+    with pytest.raises(DomainError, match="not monic irreducible"):
+        Place.finite_poly(FqPolynomial.of(3, 1, 2))  # 2x+1 is irreducible, not monic
+
+
+def test_place_admits_irreducibles_past_the_factoring_degree_limit():
+    # x^17+x^3+1 is irreducible over F_2; the check enumerates to degree 8 only
+    g = FqPolynomial.of(2, 1, 0, 0, 1, *([0] * 13), 1)
+    assert g.degree == 17
+    assert str(Place.finite_poly(g)) == "x^17+x^3+1"
+    with pytest.raises(ResourceLimitError):
+        factor_poly(g)
+
+
+def test_factor_poly_guards():
+    with pytest.raises(DomainError):
+        factor_poly(FqPolynomial.of(3))
+    with pytest.raises(ResourceLimitError, match="degree exceeds the limit 16"):
+        factor_poly(FqPolynomial.of(3, *([1] * 18)))
+
+
+def test_factor_poly_frozen_factors():
+    # 2 x (x+1)^2 (x^2+1) over F_3: factors in enumeration order, unit apart
+    x = FqPolynomial.x(3)
+    one = FqPolynomial.one(3)
+    f = FqPolynomial.of(3, 2) * x * (x + one) * (x + one) * (x * x + one)
+    unit, counts = factor_poly(f)
+    assert unit == 2
+    assert [(str(g), e) for g, e in counts.items()] == [("x", 1), ("x+1", 2), ("x^2+1", 1)]
+
+
+def test_fq_subtraction_and_negation():
+    f = FqPolynomial.of(5, 1, 2, 3)
+    g = FqPolynomial.of(5, 4, 2, 1)
+    assert -f == FqPolynomial.of(5, 4, 3, 2)
+    assert f - g == FqPolynomial.of(5, 2, 0, 2)
+    assert (f - f).is_zero
+    assert -FqPolynomial.of(5) == FqPolynomial.of(5)
+
+
+def test_rational_function_constructor_errors():
+    x = FqPolynomial.x(3)
+    one = FqPolynomial.one(3)
+    with pytest.raises(DomainError, match="denominator must be nonzero"):
+        RationalFunction(one, FqPolynomial.of(3))
+    with pytest.raises(DomainError, match="denominator must be monic"):
+        RationalFunction(one, FqPolynomial.of(3, 1, 2))
+    with pytest.raises(DomainError, match="coprime"):
+        RationalFunction(x * x, x)
+    with pytest.raises(DomainError, match="denominator must be nonzero"):
+        RationalFunction.of(one, FqPolynomial.of(3))
+
+
+def test_poly_valuation_rejects_places_of_q():
+    f = RationalFunction.of(FqPolynomial.x(3))
+    for place in (Place.finite(3), Place.archimedean()):
+        with pytest.raises(DomainError, match="is not a place of F_p"):
+            poly_valuation(f, place)
+
+
 def test_place_str_and_kind():
     assert str(Place.finite(7)) == "7"
     assert str(Place.archimedean()) == "infinity"
