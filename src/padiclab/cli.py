@@ -31,6 +31,7 @@ import argparse
 import copy
 import functools
 import json
+import math
 import os
 import random
 import re
@@ -84,8 +85,6 @@ from .valuations_product import (
     local_norms,
     local_norms_ff,
     poly_valuation,
-    product_formula_check,
-    product_formula_check_ff,
 )
 
 _RESIDUAL_TOL = "1e-16"
@@ -362,7 +361,6 @@ def _cmd_product_formula(args):
     if args.function_field is not None:
         f = parse_fq_ratio(args.value, args.function_field)
         pairs = local_norms_ff(f)
-        product = product_formula_check_ff(f)
         field = f"F_{args.function_field}(x)"
 
         def valuation(place):
@@ -371,7 +369,6 @@ def _cmd_product_formula(args):
     else:
         a = parse_rational(args.value)
         pairs = local_norms(a)
-        product = product_formula_check(a)
         field = "Q"
 
         def valuation(place):
@@ -386,6 +383,7 @@ def _cmd_product_formula(args):
         }
         for place, v in pairs
     ]
+    product = math.prod(v for _, v in pairs)
     lines = [f"place {place}: |a| = {v}" for place, v in pairs]
     lines.append(f"product = {product}")
     payload = {

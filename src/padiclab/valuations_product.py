@@ -12,8 +12,9 @@ Everything is computed as exact ``Fraction`` values in a single pass; no
 logarithms.  Integer factorization trial-divides by the Miller-Rabin bases
 (the primes up to 37), splits the rest by Brent's rho, and is self-verifying:
 each factor passes ``padic_core.is_prime`` and the product reconstructs the
-input.  Polynomial factorization is trial division against monic
-irreducibles enumerated by an ascending-degree sieve.
+input.  Over F_p one routine trial-divides by the monic irreducibles of an
+ascending-degree sieve; ``factor_poly`` and the check of a ``finite_poly``
+place both go through it, and one loop divides out a factor.
 ``FqPolynomial`` arithmetic, evaluation and rendering, and the base-p
 digits of its coefficient vectors, use the shared helpers in ``padic_core``.
 """
@@ -155,7 +156,8 @@ class Place:
             if not isinstance(self.prime, int) or not is_prime(self.prime):
                 raise NotPrimeError(f"{self.prime} is not prime")
         if self.kind == "finite_poly":
-            if not (self.poly.is_monic and _is_irreducible(self.poly)):
+            # a monic constant factors as {}, a reducible g as anything but {g: 1}
+            if not (self.poly.is_monic and _trial_divide(self.poly) == {self.poly: 1}):
                 raise DomainError(f"{self.poly} is not monic irreducible")
 
     @classmethod
@@ -192,14 +194,10 @@ def local_norms(a) -> list[tuple[Place, Fraction]]:
     a = Fraction(a)
     if a == 0:
         raise DomainError("zero is outside the product formula")
-    exps: dict[int, int] = {}
-    for p, e in factor(a.numerator).factors:
-        exps[p] = exps.get(p, 0) + e
-    for p, e in factor(a.denominator).factors:
-        exps[p] = exps.get(p, 0) - e
-    out = [
-        (Place.finite(p), Fraction(1, p) ** e) for p, e in sorted(exps.items()) if e != 0
-    ]
+    # numerator and denominator are coprime: no prime appears in both
+    signed = list(factor(a.numerator).factors)
+    signed += [(p, -e) for p, e in factor(a.denominator).factors]
+    out = [(Place.finite(p), Fraction(1, p) ** e) for p, e in sorted(signed)]
     out.append((Place.archimedean(), abs(a)))
     return out
 
@@ -351,16 +349,34 @@ def enumerate_irreducibles(p: int, max_degree: int) -> tuple[FqPolynomial, ...]:
     return tuple(irr)
 
 
-def _is_irreducible(g: FqPolynomial) -> bool:
-    if g.degree < 1:
-        return False
-    m = g.monic()
-    if m.degree == 1:
-        return True
-    for cand in enumerate_irreducibles(g.p, m.degree // 2):
-        if (m % cand).is_zero:
-            return False
-    return True
+def _multiplicity(g: FqPolynomial, pi: FqPolynomial) -> tuple[int, FqPolynomial]:
+    """(e, g / pi**e) with pi**e the highest power of pi dividing g."""
+    e = 0
+    q, r = divmod(g, pi)
+    while r.is_zero:
+        g, e = q, e + 1
+        q, r = divmod(g, pi)
+    return e, g
+
+
+def _trial_divide(m: FqPolynomial) -> dict[FqPolynomial, int]:
+    """{monic irreducible: multiplicity} of a monic m, in enumeration order.
+
+    A cofactor with no irreducible divisor of degree <= half its own is irreducible.
+    """
+    counts: dict[FqPolynomial, int] = {}
+    if m.degree >= 2:
+        for cand in enumerate_irreducibles(m.p, m.degree // 2):
+            if 2 * cand.degree > m.degree:
+                break
+            e, m = _multiplicity(m, cand)
+            if e:
+                counts[cand] = e
+            if m.degree < 2:
+                break
+    if m.degree >= 1:
+        counts[m] = 1
+    return counts
 
 
 def factor_poly(g: FqPolynomial) -> tuple[int, dict[FqPolynomial, int]]:
@@ -369,24 +385,7 @@ def factor_poly(g: FqPolynomial) -> tuple[int, dict[FqPolynomial, int]]:
         raise DomainError("zero polynomial has no factorization")
     if g.degree > POLY_DEGREE_LIMIT:
         raise ResourceLimitError(f"degree exceeds the limit {POLY_DEGREE_LIMIT}")
-    unit = g.leading
-    rem = g.monic()
-    counts: dict[FqPolynomial, int] = {}
-    if rem.degree >= 2:
-        for cand in enumerate_irreducibles(g.p, rem.degree // 2):
-            if 2 * cand.degree > rem.degree:
-                break
-            while True:
-                q, r = divmod(rem, cand)
-                if not r.is_zero:
-                    break
-                rem = q
-                counts[cand] = counts.get(cand, 0) + 1
-            if rem.degree < 2:
-                break
-    if rem.degree >= 1:
-        counts[rem] = counts.get(rem, 0) + 1
-    return unit, counts
+    return g.leading, _trial_divide(g.monic())
 
 
 @dataclass(frozen=True)
@@ -442,26 +441,15 @@ def _as_function(f) -> RationalFunction:
     raise DomainError(f"expected a polynomial or rational function, got {f!r}")
 
 
-def _multiplicity(g: FqPolynomial, pi: FqPolynomial) -> int:
-    count = 0
-    while True:
-        q, r = divmod(g, pi)
-        if not r.is_zero:
-            return count
-        g = q
-        count += 1
-
-
 def poly_valuation(f, place: Place) -> Valuation:
     """Order of vanishing of f in F_p(x) at a finite-poly or degree place."""
     f = _as_function(f)
     if f.is_zero:
         raise DomainError("the zero function is outside the place calculus")
     if place.kind == "finite_poly":
-        place.poly._same_field(f.num)
-        return Valuation(
-            _multiplicity(f.num, place.poly) - _multiplicity(f.den, place.poly)
-        )
+        g = place.poly
+        g._same_field(f.num)
+        return Valuation(_multiplicity(f.num, g)[0] - _multiplicity(f.den, g)[0])
     if place.kind == "degree_infinity":
         return Valuation(f.den.degree - f.num.degree)
     raise DomainError(f"{place} is not a place of F_p(x)")
@@ -473,17 +461,11 @@ def local_norms_ff(f) -> list[tuple[Place, Fraction]]:
     if f.is_zero:
         raise DomainError("zero is outside the product formula")
     p = f.p
-    exps: dict[FqPolynomial, int] = {}
-    for pi, e in factor_poly(f.num)[1].items():
-        exps[pi] = exps.get(pi, 0) + e
-    for pi, e in factor_poly(f.den)[1].items():
-        exps[pi] = exps.get(pi, 0) - e
-    ordered = sorted(exps.items(), key=lambda kv: (kv[0].degree, kv[0]._counter()))
-    out = [
-        (Place.finite_poly(pi), Fraction(p) ** (-pi.degree * e))
-        for pi, e in ordered
-        if e != 0
-    ]
+    # RationalFunction keeps num and den coprime: no place divides both
+    signed = list(factor_poly(f.num)[1].items())
+    signed += [(pi, -e) for pi, e in factor_poly(f.den)[1].items()]
+    signed.sort(key=lambda kv: (kv[0].degree, kv[0]._counter()))
+    out = [(Place.finite_poly(pi), Fraction(p) ** (-pi.degree * e)) for pi, e in signed]
     out.append((Place.degree_infinity(), Fraction(p) ** (f.num.degree - f.den.degree)))
     return out
 

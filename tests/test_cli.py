@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
-from padiclab import ResourceLimitError, cli
+from padiclab import ResourceLimitError, cli, valuations_product
 from padiclab.cli import build_parser, main, parse_polynomial
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas" / "v1"
@@ -82,6 +82,25 @@ def test_hensel_text_shows_sum():
     assert code == 0
     assert "3 + 7·1 + 7²·2" in out
     assert "x_2 = 108 (mod 7^3)" in out
+
+
+@pytest.mark.parametrize(
+    "argv, name, operands",
+    [
+        (["63/550"], "factor", ["63", "550"]),
+        (["(x^2+1)/(x+1)", "--function-field", "3"], "factor_poly", ["x^2+1", "x+1"]),
+    ],
+)
+def test_product_formula_factors_each_operand_once(monkeypatch, argv, name, operands):
+    calls = []
+    kernel = getattr(valuations_product, name)
+    monkeypatch.setattr(valuations_product, name, lambda g: calls.append(str(g)) or kernel(g))
+    for mode in ((), ("--json",)):
+        calls.clear()
+        code, out, err = run_cli("product-formula", *argv, *mode)
+        assert code == 0, err
+        assert "product" in out
+        assert calls == operands
 
 
 def test_sqrt_text():
