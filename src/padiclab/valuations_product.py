@@ -43,8 +43,9 @@ from .padic_core import (
 FACTOR_LIMIT = 10**18
 #: Polynomials beyond this degree are rejected by the factoring routines.
 POLY_DEGREE_LIMIT = 16
-# enumerate_irreducibles sieves p**d monic candidates of degree d
-_IRREDUCIBLE_ENUM_LIMIT = 10**6
+#: Steps admitted for enumerate_irreducibles, counted by ``_sieve_work``; a step
+#: takes about 10 us, so the slowest admitted request takes about 1 s cold.
+_IRREDUCIBLE_ENUM_LIMIT = 80_000
 
 
 def _brent_rho(n: int) -> int:
@@ -324,6 +325,24 @@ class FqPolynomial:
         return _poly_eval(self.coefficients, self.p)
 
 
+def _sieve_work(p: int, max_degree: int) -> int:
+    """Candidates built and trial divisions made by sieving to max_degree, then using it.
+
+    A monic candidate of degree d is tried against the irreducibles of degree
+    <= d // 2; factoring and the place check then try each irreducible the
+    sieve yields at most once more apiece.  Stops counting past the limit.
+    """
+    counts: list[int] = []  # counts[k - 1]: monic irreducibles of degree k
+    work = 0
+    for d in range(1, max_degree + 1):
+        # Gauss: p**d = sum over k | d of k * counts[k - 1]
+        counts.append((p**d - sum(k * counts[k - 1] for k in range(1, d) if d % k == 0)) // d)
+        work += p**d * (1 + sum(counts[: d // 2]))
+        if work > _IRREDUCIBLE_ENUM_LIMIT:
+            return work
+    return work + 2 * sum(counts)
+
+
 @lru_cache(maxsize=64)
 def enumerate_irreducibles(p: int, max_degree: int) -> tuple[FqPolynomial, ...]:
     """All monic irreducibles over F_p of degree <= max_degree.
@@ -335,9 +354,10 @@ def enumerate_irreducibles(p: int, max_degree: int) -> tuple[FqPolynomial, ...]:
     require_prime(p)
     if max_degree < 1:
         raise DomainError("max_degree must be at least 1")
-    if max_degree > POLY_DEGREE_LIMIT or p**max_degree > _IRREDUCIBLE_ENUM_LIMIT:
+    if _sieve_work(p, max_degree) > _IRREDUCIBLE_ENUM_LIMIT:
         raise ResourceLimitError(
-            f"enumerating irreducibles needs p**d <= {_IRREDUCIBLE_ENUM_LIMIT}"
+            f"enumerating irreducibles over F_{p} to degree {max_degree} needs more than "
+            f"{_IRREDUCIBLE_ENUM_LIMIT} trial divisions"
         )
     irr: list[FqPolynomial] = []
     for d in range(1, max_degree + 1):

@@ -560,6 +560,30 @@ def test_seminorm_check_at_degree_0_stays_desk_scale():
 
 
 @pytest.mark.parametrize("json_mode", [False, True])
+@pytest.mark.parametrize("p", ["997", "101"])
+def test_function_field_sieve_refused_before_it_starts(p, json_mode):
+    # x^4+1 needs every irreducible of degree <= 2: p = 101 took 8 s cold and
+    # 997 about 10**9 trial divisions, while p**2 passed the old p**d <= 10**6 rule
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "padiclab", "product-formula", "x^4+1",
+         "--function-field", p, *(["--json"] if json_mode else [])],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert len(proc.stderr.strip().splitlines()) == 1
+    if json_mode:
+        payload = json.loads(proc.stderr)
+        load_schema("error").validate(payload)
+        assert payload["error_code"] == "resource_limit"
+    else:
+        assert f"over F_{p} to degree 2 needs more than 80000 trial divisions" in proc.stderr
+
+
+@pytest.mark.parametrize("json_mode", [False, True])
 @pytest.mark.parametrize("table", [False, True])
 def test_huge_t_refused_before_the_quadrature(table, json_mode):
     # every t from 1e64 up climbed to 131072 nodes and failed after ~8 s; --table

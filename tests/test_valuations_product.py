@@ -8,6 +8,7 @@ and comparing them place-by-place is deliberate.
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from padiclab import (
     product_formula_check,
     product_formula_check_ff,
 )
+from padiclab.valuations_product import _IRREDUCIBLE_ENUM_LIMIT, _sieve_work
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +297,51 @@ def test_enumerate_irreducibles_guards():
         enumerate_irreducibles(2, 17)
     with pytest.raises(ResourceLimitError):
         enumerate_irreducibles(101, 4)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 41])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_sieve_work_counts_candidates_and_trial_divisions(p, d):
+    # each degree-k candidate meets the irreducibles of degree <= k // 2, and
+    # factoring and the place check try each result at most once more apiece
+    irreducibles = [necklace_count(p, k) for k in range(1, d + 1)]
+    want = sum(p**k * (1 + sum(irreducibles[: k // 2])) for k in range(1, d + 1))
+    want += 2 * sum(irreducibles)
+    if want <= _IRREDUCIBLE_ENUM_LIMIT:
+        assert _sieve_work(p, d) == want
+    else:
+        assert _sieve_work(p, d) > _IRREDUCIBLE_ENUM_LIMIT
+
+
+@pytest.mark.parametrize(
+    "p, d",
+    # the test-04 and library distributions (p <= 5, degree <= 8) and the
+    # heaviest admitted sieves
+    [(2, 4), (3, 4), (5, 4), (2, 8), (2, 11), (3, 7), (5, 5), (7, 4), (41, 2), (26647, 1)],
+)
+def test_sieve_work_admits(p, d):
+    assert _sieve_work(p, d) <= _IRREDUCIBLE_ENUM_LIMIT
+
+
+@pytest.mark.parametrize(
+    "p, d",
+    # each of the first five took 4.8-30 s in process; 997 would take hours
+    [(2, 14), (2, 16), (5, 6), (11, 4), (31, 3), (2, 12), (43, 2), (53, 2), (101, 2),
+     (997, 2), (26669, 1), (4294967291, 1), (2, 10**6)],
+)
+def test_sieve_work_refuses_before_sieving(p, d):
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="trial divisions"):
+        enumerate_irreducibles(p, d)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_slowest_admitted_sieves_stay_desk_scale():
+    for p, d in ((41, 2), (7, 4)):
+        t0 = time.perf_counter()
+        polys = enumerate_irreducibles.__wrapped__(p, d)  # bypass the cache
+        assert time.perf_counter() - t0 < 3.0
+        assert len(polys) == sum(necklace_count(p, k) for k in range(1, d + 1))
 
 
 @given(f=fq_poly(3, 5).filter(lambda f: f.degree >= 1))
