@@ -39,9 +39,9 @@ _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
 def _int_coeffs(f) -> tuple[int, ...]:
     if isinstance(f, RationalPolynomial):
-        if any(c.denominator != 1 for c in f.coefficients):
+        if f.den != 1:
             raise DomainError("lifting needs integer coefficients")
-        coeffs = tuple(int(c) for c in f.coefficients)
+        coeffs = f.nums
     else:
         coeffs = tuple(int(c) for c in f)
     while coeffs and coeffs[-1] == 0:

@@ -10,10 +10,10 @@ nonzero t.  Three evaluation routes are provided and cross-checked:
   double-exponential substitution u = exp(w - exp(-w)) turns the Laplace
   integral into a trapezoid sum whose node count doubles until two
   successive estimates agree;
-* an independent continued-fraction oracle for the same value via
-  y_B(t) = exp(x) E1(x) at x = 1/t, evaluated by the modified Lentz scheme
-  on the classical fraction 1/(x+1- 1/(x+3- 4/(x+5- ...))) in which the
-  exponentials cancel, so nothing overflows.
+* an independent oracle for the same value via y_B(t) = exp(x) E1(x) at
+  x = 1/t: the power series of E1 for x < 1, and for x >= 1 the modified
+  Lentz scheme on the classical fraction 1/(x+1- 1/(x+3- 4/(x+5- ...))) in
+  which the exponentials cancel, so nothing overflows.
 
 The quadrature and the oracle are deliberately separate code paths; the
 test suite requires them to agree.  The defect of a truncated series in the
@@ -237,15 +237,24 @@ def borel_sum(t, tol=DEFAULT_TOL) -> SummationResult:
 
 
 def exp_e1_oracle(t) -> mpf:
-    """exp(x)*E1(x) at x = 1/t by the classical continued fraction.
+    """exp(x)*E1(x) at x = 1/t: the power series for x < 1, else a continued fraction.
 
-    Modified Lentz evaluation of x+1 - 1/(x+3 - 4/(x+5 - 9/(...))); the
-    reciprocal is exp(x)E1(x).  This shares no code with the quadrature and
-    serves as its independent oracle.
+    For x < 1, E1(x) = -gamma - ln x - sum over k >= 1 of (-x)**k / (k k!)
+    (Abramowitz & Stegun 5.1.11), whose terms fall faster than 1/k!.  For
+    x >= 1, modified Lentz evaluation of x+1 - 1/(x+3 - 4/(x+5 - 9/(...)))
+    (5.1.22); the reciprocal is exp(x)E1(x).  This shares no code with the
+    quadrature and serves as its independent oracle.
     """
     with mp.workdps(WORKING_DPS):
         tv = _require_positive(t)
         x = 1 / tv
+        if x < 1:
+            total, term, k = mpf(0), mpf(1), 0
+            while abs(term) >= mp.eps:
+                k += 1
+                term *= -x / k  # (-x)**k / k!
+                total += term / k
+            return mp.exp(x) * (-mp.euler - mp.log(x) - total)
         tiny = mpf(10) ** (-2 * mp.dps)
         eps = mpf(10) ** (-mp.dps + 2)
         f = c = x + 1

@@ -7,6 +7,7 @@ the exact symbolic defect of truncated partial sums.
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -203,6 +204,19 @@ def test_borel_matches_e1_oracle(t):
         got = borel_sum(t).value
         want = exp_e1_oracle(t)
         assert abs(got - want) / abs(want) < mp.mpf("1e-10")
+
+
+@pytest.mark.parametrize("t", ["1.0001", "2", "10", "300", "1e4", "1e12", "1e60"])
+def test_e1_oracle_series_branch_matches_mpmath(t):
+    # x = 1/t < 1 takes the power series; the continued fraction needed over
+    # 100000 terms from about t = 300 and raised AccuracyError
+    t0 = time.perf_counter()
+    got = exp_e1_oracle(t)
+    assert time.perf_counter() - t0 < 0.5
+    with mp.workdps(60):
+        x = 1 / mp.mpf(t)
+        want = mp.exp(x) * mp.e1(x)
+        assert abs(got - want) < mp.mpf("1e-38") * want
 
 
 @pytest.mark.parametrize("t", ORACLE_GRID)
