@@ -41,9 +41,8 @@ def _int_coeffs(f) -> tuple[int, ...]:
     if isinstance(f, RationalPolynomial):
         if f.den != 1:
             raise DomainError("lifting needs integer coefficients")
-        coeffs = f.nums
-    else:
-        coeffs = tuple(int(c) for c in f)
+        return f.nums  # canonical: no trailing zero
+    coeffs = tuple(int(c) for c in f)
     while coeffs and coeffs[-1] == 0:
         coeffs = coeffs[:-1]
     return coeffs

@@ -237,13 +237,12 @@ def borel_sum(t, tol=DEFAULT_TOL) -> SummationResult:
 
 
 def exp_e1_oracle(t) -> mpf:
-    """exp(x)*E1(x) at x = 1/t: the power series for x < 1, else a continued fraction.
+    """exp(x)*E1(x) at x = 1/t by a power series for x < 1, else a continued fraction.
 
     For x < 1, E1(x) = -gamma - ln x - sum over k >= 1 of (-x)**k / (k k!)
-    (Abramowitz & Stegun 5.1.11), whose terms fall faster than 1/k!.  For
-    x >= 1, modified Lentz evaluation of x+1 - 1/(x+3 - 4/(x+5 - 9/(...)))
-    (5.1.22); the reciprocal is exp(x)E1(x).  This shares no code with the
-    quadrature and serves as its independent oracle.
+    (Abramowitz & Stegun 5.1.11); for x >= 1, modified Lentz evaluation of
+    x+1 - 1/(x+3 - 4/(x+5 - 9/(...))) (5.1.22), whose reciprocal is exp(x)E1(x).
+    This shares no code with the quadrature and serves as its independent oracle.
     """
     with mp.workdps(WORKING_DPS):
         tv = _require_positive(t)

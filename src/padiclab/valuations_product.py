@@ -43,8 +43,7 @@ from .padic_core import (
 FACTOR_LIMIT = 10**18
 #: Polynomials beyond this degree are rejected by the factoring routines.
 POLY_DEGREE_LIMIT = 16
-#: Steps admitted for enumerate_irreducibles, counted by ``_sieve_work``; a step
-#: takes about 10 us, so the slowest admitted request takes about 1 s cold.
+#: Steps of about 10 us admitted for enumerate_irreducibles (see ``_sieve_work``).
 _IRREDUCIBLE_ENUM_LIMIT = 80_000
 
 
@@ -205,10 +204,7 @@ def local_norms(a) -> list[tuple[Place, Fraction]]:
 
 def product_formula_check(a) -> Fraction:
     """The exact product of |a| over all places; equals 1 for nonzero a."""
-    prod = Fraction(1)
-    for _, v in local_norms(a):
-        prod *= v
-    return prod
+    return math.prod(v for _, v in local_norms(a))
 
 
 # -- polynomials over F_p and places of F_p(x) -------------------------------
@@ -326,16 +322,14 @@ class FqPolynomial:
 
 
 def _sieve_work(p: int, max_degree: int) -> int:
-    """Candidates built and trial divisions made by sieving to max_degree, then using it.
+    """Steps to sieve to max_degree and use the result, counted until past the limit.
 
-    A monic candidate of degree d is tried against the irreducibles of degree
-    <= d // 2; factoring and the place check then try each irreducible the
-    sieve yields at most once more apiece.  Stops counting past the limit.
+    Each degree-d candidate is built and tried against the irreducibles of
+    degree <= d // 2; factoring and the place check try each result once more.
     """
-    counts: list[int] = []  # counts[k - 1]: monic irreducibles of degree k
+    counts: list[int] = []  # counts[k - 1]: of degree k (Gauss: p**d = sum_{k | d} k counts[k - 1])
     work = 0
     for d in range(1, max_degree + 1):
-        # Gauss: p**d = sum over k | d of k * counts[k - 1]
         counts.append((p**d - sum(k * counts[k - 1] for k in range(1, d) if d % k == 0)) // d)
         work += p**d * (1 + sum(counts[: d // 2]))
         if work > _IRREDUCIBLE_ENUM_LIMIT:
@@ -355,10 +349,8 @@ def enumerate_irreducibles(p: int, max_degree: int) -> tuple[FqPolynomial, ...]:
     if max_degree < 1:
         raise DomainError("max_degree must be at least 1")
     if _sieve_work(p, max_degree) > _IRREDUCIBLE_ENUM_LIMIT:
-        raise ResourceLimitError(
-            f"enumerating irreducibles over F_{p} to degree {max_degree} needs more than "
-            f"{_IRREDUCIBLE_ENUM_LIMIT} trial divisions"
-        )
+        raise ResourceLimitError(f"enumerating irreducibles over F_{p} to degree {max_degree} "
+                                 f"needs more than {_IRREDUCIBLE_ENUM_LIMIT} trial divisions")
     irr: list[FqPolynomial] = []
     for d in range(1, max_degree + 1):
         small = [g for g in irr if g.degree <= d // 2]
@@ -380,10 +372,7 @@ def _multiplicity(g: FqPolynomial, pi: FqPolynomial) -> tuple[int, FqPolynomial]
 
 
 def _trial_divide(m: FqPolynomial) -> dict[FqPolynomial, int]:
-    """{monic irreducible: multiplicity} of a monic m, in enumeration order.
-
-    A cofactor with no irreducible divisor of degree <= half its own is irreducible.
-    """
+    """{monic irreducible: multiplicity} of a monic m, by trial division in enumeration order."""
     counts: dict[FqPolynomial, int] = {}
     if m.degree >= 2:
         for cand in enumerate_irreducibles(m.p, m.degree // 2):
@@ -492,7 +481,4 @@ def local_norms_ff(f) -> list[tuple[Place, Fraction]]:
 
 def product_formula_check_ff(f) -> Fraction:
     """The exact product of |f| over all places of F_p(x); equals 1."""
-    prod = Fraction(1)
-    for _, v in local_norms_ff(f):
-        prod *= v
-    return prod
+    return math.prod(v for _, v in local_norms_ff(f))
