@@ -381,8 +381,6 @@ def _trial_divide(m: FqPolynomial) -> dict[FqPolynomial, int]:
             e, m = _multiplicity(m, cand)
             if e:
                 counts[cand] = e
-            if m.degree < 2:
-                break
     if m.degree >= 1:
         counts[m] = 1
     return counts

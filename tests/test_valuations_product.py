@@ -422,6 +422,8 @@ def test_place_rejects_constant_reducible_and_non_monic_polynomials():
     with pytest.raises(DomainError, match="not monic irreducible"):
         Place.finite_poly(x * x + x)  # x(x+1)
     with pytest.raises(DomainError, match="not monic irreducible"):
+        Place.finite_poly(x * x)  # one factor, twice
+    with pytest.raises(DomainError, match="not monic irreducible"):
         Place.finite_poly(FqPolynomial.of(3, 1, 2))  # 2x+1 is irreducible, not monic
 
 
