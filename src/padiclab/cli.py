@@ -47,6 +47,7 @@ from .padic_core import (
     ARCHIMEDEAN,
     PadicNumber,
     RationalPolynomial,
+    _int_valuation,
     check_seminorm_axioms,
     gauss_norm,
     norm,
@@ -84,7 +85,6 @@ from .valuations_product import (
     RationalFunction,
     local_norms,
     local_norms_ff,
-    poly_valuation,
 )
 
 _RESIDUAL_TOL = "1e-16"
@@ -357,27 +357,26 @@ def _cmd_sqrt(args):
     return {"a": args.a, "p": args.p, "r": args.r, "roots": expansions}, text
 
 
+def _place_valuation(place, value: Fraction, p: int | None):
+    """v with |a| = q**(-v), q the size of the residue field; None at the archimedean place."""
+    if place.kind == "archimedean":
+        return None
+    q = place.prime if place.kind == "finite" else p ** (place.poly.degree if place.poly else 1)
+    return _int_valuation(value.denominator, q) - _int_valuation(value.numerator, q)
+
+
 def _cmd_product_formula(args):
-    if args.function_field is not None:
-        f = parse_fq_ratio(args.value, args.function_field)
-        pairs = local_norms_ff(f)
-        field = f"F_{args.function_field}(x)"
-
-        def valuation(place):
-            return _val_json(poly_valuation(f, place))
-
+    p = args.function_field
+    if p is not None:
+        pairs = local_norms_ff(parse_fq_ratio(args.value, p))
+        field = f"F_{p}(x)"
     else:
-        a = parse_rational(args.value)
-        pairs = local_norms(a)
+        pairs = local_norms(parse_rational(args.value))
         field = "Q"
-
-        def valuation(place):
-            return None if place.kind == "archimedean" else _val_json(nu(a, place.prime))
-
     rows = [
         {
             "place": str(place),
-            "valuation": valuation(place),
+            "valuation": _place_valuation(place, v, p),
             "norm_num": str(v.numerator),
             "norm_den": str(v.denominator),
         }

@@ -41,9 +41,7 @@ from .padic_core import (
 
 #: Integers beyond this are rejected rather than silently taking minutes.
 FACTOR_LIMIT = 10**18
-#: Polynomials beyond this degree are rejected by the factoring routines.
-POLY_DEGREE_LIMIT = 16
-#: Steps of about 10 us admitted for enumerate_irreducibles (see ``_sieve_work``).
+#: Steps of about 10 us admitted for the sieve, the one bound on F_p[x] factoring (``_sieve_work``).
 _IRREDUCIBLE_ENUM_LIMIT = 80_000
 
 
@@ -390,8 +388,6 @@ def factor_poly(g: FqPolynomial) -> tuple[int, dict[FqPolynomial, int]]:
     """(unit, {monic irreducible: multiplicity}) with unit in F_p^*."""
     if g.is_zero:
         raise DomainError("zero polynomial has no factorization")
-    if g.degree > POLY_DEGREE_LIMIT:
-        raise ResourceLimitError(f"degree exceeds the limit {POLY_DEGREE_LIMIT}")
     return g.leading, _trial_divide(g.monic())
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import random
 import subprocess
 import sys
 import time
@@ -95,12 +96,67 @@ def test_product_formula_factors_each_operand_once(monkeypatch, argv, name, oper
     calls = []
     kernel = getattr(valuations_product, name)
     monkeypatch.setattr(valuations_product, name, lambda g: calls.append(str(g)) or kernel(g))
+    # the valuation column is read off the norms, not recomputed
+    assert not hasattr(cli, "poly_valuation")
+    monkeypatch.setattr(cli, "nu", lambda *a: pytest.fail("nu called"))
+    monkeypatch.setattr(valuations_product, "poly_valuation",
+                        lambda *a: pytest.fail("poly_valuation called"))
     for mode in ((), ("--json",)):
         calls.clear()
         code, out, err = run_cli("product-formula", *argv, *mode)
         assert code == 0, err
         assert "product" in out
         assert calls == operands
+
+
+def _repeated_division(n: int, p: int) -> int:
+    v = 0
+    while n % p == 0:
+        n, v = n // p, v + 1
+    return v
+
+
+def test_product_formula_valuations_over_test_03_rationals():
+    # acceptance test 03's distribution; 76 of these have a prime factor above
+    # 2**32 and exited 3 when each valuation was recomputed by nu
+    rng = random.Random(3)
+    for _ in range(200):
+        num = rng.randint(1, 10**12) * rng.choice((1, -1))
+        den = rng.randint(1, 10**12)
+        code, out, err = run_cli("product-formula", "--json", "--", f"{num}/{den}")
+        assert code == 0, err
+        *finite, archimedean = json.loads(out)["places"]
+        assert (archimedean["place"], archimedean["valuation"]) == ("infinity", None)
+        for row in finite:
+            p = int(row["place"])
+            assert row["valuation"] == _repeated_division(num, p) - _repeated_division(den, p)
+
+
+def test_product_formula_ff_valuations_match_poly_valuation():
+    # acceptance test 04's distribution, against the independent divide-out route
+    vp = valuations_product
+    rng = random.Random(4)
+
+    def draw(p):
+        return vp.FqPolynomial.of(p, *(rng.randrange(p) for _ in range(rng.randint(0, 8))), 1)
+
+    for _ in range(60):
+        p = rng.choice((2, 3, 5))
+        f = vp.RationalFunction.of(draw(p), draw(p))
+        payload = run_json("product-formula", str(f), "--function-field", str(p),
+                           schema="product-formula")
+        places = [place for place, _ in vp.local_norms_ff(f)]
+        assert [row["place"] for row in payload["places"]] == [str(pl) for pl in places]
+        assert [row["valuation"] for row in payload["places"]] == [
+            int(vp.poly_valuation(f, pl)) for pl in places]
+
+
+def test_product_formula_past_the_primality_gate():
+    code, out, _ = run_cli("product-formula", "4294967311")
+    assert code == 0
+    assert out.splitlines()[0] == "place 4294967311: |a| = 1/4294967311"
+    payload = run_json("product-formula", "4294967311", schema="product-formula")
+    assert payload["places"][0]["valuation"] == 1
 
 
 def test_sqrt_text():
@@ -560,13 +616,15 @@ def test_seminorm_check_at_degree_0_stays_desk_scale():
 
 
 @pytest.mark.parametrize("json_mode", [False, True])
-@pytest.mark.parametrize("p", ["997", "101"])
-def test_function_field_sieve_refused_before_it_starts(p, json_mode):
+@pytest.mark.parametrize("p, value, half", [("997", "x^4+1", 2), ("101", "x^4+1", 2),
+                                            ("2", "x^24+x+1", 12)], ids=["997", "101", "2"])
+def test_function_field_sieve_refused_before_it_starts(p, value, half, json_mode):
     # x^4+1 needs every irreducible of degree <= 2: p = 101 took 8 s cold and
-    # 997 about 10**9 trial divisions, while p**2 passed the old p**d <= 10**6 rule
+    # 997 about 10**9 trial divisions, while p**2 passed the old p**d <= 10**6 rule;
+    # the sieve is the one bound on factoring, so F_2 admits degree 23 and refuses 24
     t0 = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "padiclab", "product-formula", "x^4+1",
+        [sys.executable, "-m", "padiclab", "product-formula", value,
          "--function-field", p, *(["--json"] if json_mode else [])],
         capture_output=True,
         text=True,
@@ -580,7 +638,18 @@ def test_function_field_sieve_refused_before_it_starts(p, json_mode):
         load_schema("error").validate(payload)
         assert payload["error_code"] == "resource_limit"
     else:
-        assert f"over F_{p} to degree 2 needs more than 80000 trial divisions" in proc.stderr
+        assert f"over F_{p} to degree {half} needs more than 80000 trial divisions" in proc.stderr
+
+
+def test_function_field_degree_23_irreducible_stays_desk_scale():
+    g = "x^23+x^21+x^19+x^18+x^14+x^10+x^8+x^6+x^4+x^3+x^2+x+1"
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "padiclab", "product-formula", g,
+                           "--function-field", "2"], capture_output=True, text=True, timeout=30)
+    assert time.perf_counter() - t0 < 1.0
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [f"place {g}: |a| = 1/8388608",
+                                        "place infinity: |a| = 8388608", "product = 1"]
 
 
 @pytest.mark.parametrize("json_mode", [False, True])

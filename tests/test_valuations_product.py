@@ -355,6 +355,20 @@ def test_factor_poly_reconstructs(f):
     assert prod == f
 
 
+@settings(max_examples=30, deadline=None)
+@given(cs=st.lists(st.integers(0, 1), min_size=17, max_size=23))
+def test_factor_poly_reconstructs_past_degree_16_over_f2(cs):
+    # the sieve's work count is the one bound: F_2 admits degree 23, and 24 exits 3
+    f = FqPolynomial.of(2, *cs, 1)
+    unit, counts = factor_poly(f)
+    prod = FqPolynomial.of(2, unit)
+    for g, e in counts.items():
+        assert g.degree >= 1 and g.monic() == g
+        for _ in range(e):
+            prod = prod * g
+    assert prod == f
+
+
 # ---------------------------------------------------------------------------
 # Function-field places and product formula
 # ---------------------------------------------------------------------------
@@ -432,14 +446,13 @@ def test_place_admits_irreducibles_past_the_factoring_degree_limit():
     g = FqPolynomial.of(2, 1, 0, 0, 1, *([0] * 13), 1)
     assert g.degree == 17
     assert str(Place.finite_poly(g)) == "x^17+x^3+1"
-    with pytest.raises(ResourceLimitError):
-        factor_poly(g)
+    assert factor_poly(g) == (1, {g: 1})
 
 
 def test_factor_poly_guards():
     with pytest.raises(DomainError):
         factor_poly(FqPolynomial.of(3))
-    with pytest.raises(ResourceLimitError, match="degree exceeds the limit 16"):
+    with pytest.raises(ResourceLimitError, match="trial divisions"):
         factor_poly(FqPolynomial.of(3, *([1] * 18)))
 
 
