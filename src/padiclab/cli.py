@@ -56,6 +56,7 @@ from .padic_core import (
     to_expansion_string,
 )
 from .quantum_logic import (
+    _PAULI_BITS,
     GaussianMatrix,
     GaussianRational,
     PauliElement,
@@ -88,7 +89,6 @@ from .valuations_product import (
 )
 
 _RESIDUAL_TOL = "1e-16"
-_RESIDUAL_H = "1e-4"
 #: seminorm-check multiplies and adds every ordered sample pair, and costs
 #: samples**2 * ((degree + 1)**2 + _SEMINORM_PAIR) units (see ``_check_seminorm_work``).
 _SEMINORM_WORK = 250_000
@@ -197,15 +197,9 @@ def parse_pauli(s: str) -> PauliElement:
     if not m:
         raise DomainError(f"cannot parse Pauli word {quoted(s)}")
     prefix, word = m.groups()
-    phase = {None: 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}[prefix]
-    xbits, zbits = [], []
-    for letter in word:
-        x, z = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}[letter]
-        xbits.append(x)
-        zbits.append(z)
-        if letter == "Y":
-            phase += 1
-    return PauliElement(phase % 4, tuple(xbits), tuple(zbits))
+    phase = {None: 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}[prefix] + word.count("Y")
+    xbits, zbits = zip(*(_PAULI_BITS[letter] for letter in word))
+    return PauliElement(phase % 4, xbits, zbits)
 
 
 def parse_gaussian(s: str) -> GaussianRational:
@@ -507,7 +501,7 @@ def _cmd_borel(args):
     else:
         fn = borel_sum
     result = fn(t, args.tol)
-    residual = ode_residual(lambda s: fn(s, _RESIDUAL_TOL).value, t, h=_RESIDUAL_H)
+    residual = ode_residual(lambda s: fn(s, _RESIDUAL_TOL).value, t)
     payload = {
         "t": t,
         "method": result.method,

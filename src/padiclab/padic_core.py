@@ -19,9 +19,9 @@ Valuations and norms of exact rationals are computed exactly: norms are
 This module is also the package's exact-arithmetic core.  ``is_prime`` is
 its only primality test; ``_digits`` and ``_poly_eval`` are its only base-p
 digit encoder and decoder; and the ``_poly_*`` coefficient-tuple helpers
-(add, mul, Horner evaluation, derivative, rendering) serve
-``RationalPolynomial`` here (int numerators over one denominator),
-``FqPolynomial`` in ``valuations_product`` and the lifting in ``hensel``.
+(add, mul, division over F_p, Horner evaluation, derivative, rendering)
+serve ``RationalPolynomial`` here (int numerators over one denominator),
+``FqPolynomial`` and its sieve in ``valuations_product``, and ``hensel``.
 """
 
 from __future__ import annotations
@@ -228,6 +228,20 @@ def _poly_mul(a: tuple, b: tuple) -> tuple:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return tuple(out)
+
+
+def _poly_divmod(a: tuple, b: tuple, p: int) -> tuple[tuple, tuple]:
+    """(a // b, a % b) over F_p, the remainder trimmed; residues in and out, b's top one nonzero."""
+    rem, db, inv_lead = list(a), len(b) - 1, pow(b[-1], -1, p)
+    q = [0] * max(0, len(rem) - db)
+    for i in reversed(range(len(q))):
+        q[i] = c = rem[i + db] * inv_lead % p
+        if c:
+            for j, y in enumerate(b, i):
+                rem[j] = (rem[j] - c * y) % p
+    while rem and not rem[-1]:
+        rem.pop()
+    return tuple(q), tuple(rem)
 
 
 def _poly_eval(coeffs: tuple, x, modulus: int | None = None):

@@ -226,6 +226,10 @@ class GaussianMatrix:
 
 # -- the Pauli group ----------------------------------------------------------
 
+#: Each letter's (x, z) bits; a (1, 1) pair is Y = i X Z, so it carries a phase i.
+_PAULI_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
+_PAULI_LETTERS = {bits: letter for letter, bits in _PAULI_BITS.items()}
+
 
 @dataclass(frozen=True)
 class PauliElement:
@@ -254,19 +258,11 @@ class PauliElement:
     @classmethod
     def single(cls, letter: str, j: int = 0, n: int = 1) -> "PauliElement":
         """X, Y, or Z acting on qubit j; Y carries the phase i of X Z."""
-        x = [0] * n
-        z = [0] * n
-        phase = 0
-        if letter == "X":
-            x[j] = 1
-        elif letter == "Z":
-            z[j] = 1
-        elif letter == "Y":
-            x[j] = z[j] = 1
-            phase = 1
-        elif letter != "I":
+        if letter not in _PAULI_BITS:
             raise DomainError(f"unknown Pauli letter {letter!r}")
-        return cls(phase, tuple(x), tuple(z))
+        x, z = [0] * n, [0] * n
+        x[j], z[j] = _PAULI_BITS[letter]
+        return cls(x[j] & z[j], tuple(x), tuple(z))
 
     def to_matrix(self) -> GaussianMatrix:
         """The monomial matrix: column c holds i**(phase + 2*|c & z|) in row c ^ x.
@@ -283,8 +279,7 @@ class PauliElement:
 
     def __str__(self) -> str:
         # render (1,1) bit pairs as Y, folding the i of each XZ into the phase
-        letters = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
-        word = "".join(letters[(x, z)] for x, z in zip(self.xbits, self.zbits))
+        word = "".join(_PAULI_LETTERS[bits] for bits in zip(self.xbits, self.zbits))
         ys = word.count("Y")
         prefix = {0: "", 1: "i", 2: "-", 3: "-i"}[(self.phase - ys) % 4]
         return prefix + word

@@ -12,11 +12,11 @@ Everything is computed as exact ``Fraction`` values in a single pass; no
 logarithms.  Integer factorization trial-divides by the Miller-Rabin bases
 (the primes up to 37), splits the rest by Brent's rho, and is self-verifying:
 each factor passes ``padic_core.is_prime`` and the product reconstructs the
-input.  Over F_p one routine trial-divides by the monic irreducibles of an
-ascending-degree sieve; ``factor_poly`` and the check of a ``finite_poly``
-place both go through it, and one loop divides out a factor.
-``FqPolynomial`` arithmetic, evaluation and rendering, and the base-p
-digits of its coefficient vectors, use the shared helpers in ``padic_core``.
+input.  Over F_p one routine trial-divides by the monic irreducibles of a
+sieve that extends its cached lower degrees; ``factor_poly`` and the place
+check go through it, and one loop divides out a factor.  That loop, the sieve
+and ``FqPolynomial`` all divide with ``padic_core._poly_divmod`` on coefficient
+tuples, and ``FqPolynomial`` uses the other shared helpers there too.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .padic_core import (
     Valuation,
     _digits,
     _poly_add,
+    _poly_divmod,
     _poly_eval,
     _poly_mul,
     _poly_str,
@@ -41,7 +42,7 @@ from .padic_core import (
 
 #: Integers beyond this are rejected rather than silently taking minutes.
 FACTOR_LIMIT = 10**18
-#: Steps of about 10 us admitted for the sieve, the one bound on F_p[x] factoring (``_sieve_work``).
+#: Steps of about 2 us admitted for the sieve, the one bound on F_p[x] factoring (``_sieve_work``).
 _IRREDUCIBLE_ENUM_LIMIT = 80_000
 
 
@@ -278,17 +279,8 @@ class FqPolynomial:
         self._same_field(other)
         if other.is_zero:
             raise DomainError("polynomial division by zero")
-        p = self.p
-        rem = list(self.coefficients)
-        q = [0] * max(0, len(rem) - other.degree)
-        inv_lead = pow(other.leading, -1, p)
-        for i in range(len(rem) - 1, other.degree - 1, -1):
-            c = rem[i] * inv_lead % p
-            if c:
-                q[i - other.degree] = c
-                for j, b in enumerate(other.coefficients):
-                    rem[i - other.degree + j] = (rem[i - other.degree + j] - c * b) % p
-        return FqPolynomial.of(p, *q), FqPolynomial.of(p, *rem)
+        q, r = _poly_divmod(self.coefficients, other.coefficients, self.p)
+        return FqPolynomial(self.p, q), FqPolynomial(self.p, r)
 
     def __mod__(self, other: "FqPolynomial") -> "FqPolynomial":
         return divmod(self, other)[1]
@@ -314,10 +306,6 @@ class FqPolynomial:
     def __str__(self) -> str:
         return _poly_str(self.coefficients, "+")
 
-    def _counter(self) -> int:
-        # integer whose base-p digits are the coefficients; enumeration order
-        return _poly_eval(self.coefficients, self.p)
-
 
 def _sieve_work(p: int, max_degree: int) -> int:
     """Steps to sieve to max_degree and use the result, counted until past the limit.
@@ -340,8 +328,8 @@ def enumerate_irreducibles(p: int, max_degree: int) -> tuple[FqPolynomial, ...]:
     """All monic irreducibles over F_p of degree <= max_degree.
 
     Sieve: a monic polynomial of degree d is irreducible iff no irreducible
-    of degree <= d//2 divides it.  Output is ordered by degree, then by the
-    base-p integer of the coefficient vector.
+    of degree <= d//2 divides it; each degree extends the cached lower ones.
+    Output is ordered by degree, then by the base-p integer of the coefficients.
     """
     require_prime(p)
     if max_degree < 1:
@@ -349,38 +337,36 @@ def enumerate_irreducibles(p: int, max_degree: int) -> tuple[FqPolynomial, ...]:
     if _sieve_work(p, max_degree) > _IRREDUCIBLE_ENUM_LIMIT:
         raise ResourceLimitError(f"enumerating irreducibles over F_{p} to degree {max_degree} "
                                  f"needs more than {_IRREDUCIBLE_ENUM_LIMIT} trial divisions")
-    irr: list[FqPolynomial] = []
-    for d in range(1, max_degree + 1):
-        small = [g for g in irr if g.degree <= d // 2]
-        for counter in range(p**d):
-            f = FqPolynomial(p, (*_digits(counter, p, d), 1))
-            if all(not (f % g).is_zero for g in small):
-                irr.append(f)
-    return tuple(irr)
+    lower = enumerate_irreducibles(p, max_degree - 1) if max_degree > 1 else ()
+    small = [g.coefficients for g in lower if 2 * g.degree <= max_degree]
+    candidates = ((*_digits(n, p, max_degree), 1) for n in range(p**max_degree))
+    return lower + tuple(FqPolynomial(p, f) for f in candidates
+                         if all(_poly_divmod(f, g, p)[1] for g in small))
 
 
-def _multiplicity(g: FqPolynomial, pi: FqPolynomial) -> tuple[int, FqPolynomial]:
-    """(e, g / pi**e) with pi**e the highest power of pi dividing g."""
+def _multiplicity(g: tuple, pi: tuple, p: int) -> tuple[int, tuple]:
+    """(e, g / pi**e) over F_p on coefficient tuples, pi**e the highest power of pi dividing g."""
     e = 0
-    q, r = divmod(g, pi)
-    while r.is_zero:
+    q, r = _poly_divmod(g, pi, p)
+    while not r:
         g, e = q, e + 1
-        q, r = divmod(g, pi)
+        q, r = _poly_divmod(g, pi, p)
     return e, g
 
 
 def _trial_divide(m: FqPolynomial) -> dict[FqPolynomial, int]:
     """{monic irreducible: multiplicity} of a monic m, by trial division in enumeration order."""
     counts: dict[FqPolynomial, int] = {}
+    p, cs = m.p, m.coefficients
     if m.degree >= 2:
-        for cand in enumerate_irreducibles(m.p, m.degree // 2):
-            if 2 * cand.degree > m.degree:
+        for cand in enumerate_irreducibles(p, m.degree // 2):
+            if 2 * cand.degree > len(cs) - 1:
                 break
-            e, m = _multiplicity(m, cand)
+            e, cs = _multiplicity(cs, cand.coefficients, p)
             if e:
                 counts[cand] = e
-    if m.degree >= 1:
-        counts[m] = 1
+    if len(cs) >= 2:
+        counts[FqPolynomial(p, cs)] = 1
     return counts
 
 
@@ -450,9 +436,9 @@ def poly_valuation(f, place: Place) -> Valuation:
     if f.is_zero:
         raise DomainError("the zero function is outside the place calculus")
     if place.kind == "finite_poly":
-        g = place.poly
-        g._same_field(f.num)
-        return Valuation(_multiplicity(f.num, g)[0] - _multiplicity(f.den, g)[0])
+        place.poly._same_field(f.num)
+        e = [_multiplicity(h.coefficients, place.poly.coefficients, f.p)[0] for h in (f.num, f.den)]
+        return Valuation(e[0] - e[1])
     if place.kind == "degree_infinity":
         return Valuation(f.den.degree - f.num.degree)
     raise DomainError(f"{place} is not a place of F_p(x)")
@@ -467,7 +453,7 @@ def local_norms_ff(f) -> list[tuple[Place, Fraction]]:
     # RationalFunction keeps num and den coprime: no place divides both
     signed = list(factor_poly(f.num)[1].items())
     signed += [(pi, -e) for pi, e in factor_poly(f.den)[1].items()]
-    signed.sort(key=lambda kv: (kv[0].degree, kv[0]._counter()))
+    signed.sort(key=lambda kv: (kv[0].degree, kv[0].coefficients[::-1]))
     out = [(Place.finite_poly(pi), Fraction(p) ** (-pi.degree * e)) for pi, e in signed]
     out.append((Place.degree_infinity(), Fraction(p) ** (f.num.degree - f.den.degree)))
     return out

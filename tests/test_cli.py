@@ -229,6 +229,18 @@ def test_product_formula_ff_json_schema():
     assert payload["product"] == {"num": "1", "den": "1"}
 
 
+def test_product_formula_ff_lists_places_by_degree_first():
+    # x^3+x+1 has the smaller reversed coefficient vector, x+1 the smaller degree
+    argv = ("product-formula", "(x^3+x+1)/(x+1)", "--function-field", "2")
+    code, out, _ = run_cli(*argv)
+    assert code == 0
+    assert out.splitlines()[:3] == [
+        "place x+1: |a| = 2", "place x^3+x+1: |a| = 1/8", "place infinity: |a| = 4"]
+    payload = run_json(*argv, schema="product-formula")
+    assert [row["place"] for row in payload["places"]] == ["x+1", "x^3+x+1", "infinity"]
+    assert [row["valuation"] for row in payload["places"]] == [-1, 1, -2]
+
+
 def test_code_json_schemas():
     enc = run_json("code", "encode", "1/3", "--p", "5", "--r", "4", schema="code")
     assert enc == {"p": 5, "r": 4, "value": 417, "digits": [2, 3, 1, 3]}

@@ -33,6 +33,7 @@ from padiclab import (
     product_formula_check,
     product_formula_check_ff,
 )
+from padiclab import valuations_product
 from padiclab.valuations_product import _IRREDUCIBLE_ENUM_LIMIT, _sieve_work
 
 
@@ -338,10 +339,42 @@ def test_sieve_work_refuses_before_sieving(p, d):
 
 def test_slowest_admitted_sieves_stay_desk_scale():
     for p, d in ((41, 2), (7, 4)):
+        enumerate_irreducibles.cache_clear()
         t0 = time.perf_counter()
         polys = enumerate_irreducibles.__wrapped__(p, d)  # bypass the cache
         assert time.perf_counter() - t0 < 3.0
         assert len(polys) == sum(necklace_count(p, k) for k in range(1, d + 1))
+
+
+def count_calls(monkeypatch, owner, name):
+    """A list that grows by one item per call of owner.name, recording its arguments."""
+    calls, original = [], getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_sieve_builds_polynomials_only_for_its_results(monkeypatch):
+    enumerate_irreducibles.cache_clear()
+    built = count_calls(monkeypatch, FqPolynomial, "__post_init__")
+    polys = enumerate_irreducibles(41, 2)
+    assert len(polys) == 41 + necklace_count(41, 2)
+    assert len(built) == len(polys)  # the candidates and the divisions stay tuples
+
+
+def test_sieve_extends_the_cached_lower_degrees(monkeypatch):
+    enumerate_irreducibles.cache_clear()
+    lower = enumerate_irreducibles(2, 10)
+    built = count_calls(monkeypatch, FqPolynomial, "__post_init__")
+    candidates = count_calls(monkeypatch, valuations_product, "_digits")
+    polys = enumerate_irreducibles(2, 11)
+    assert polys[: len(lower)] == lower
+    assert [args[2] for args in candidates] == [11] * 2**11
+    assert len(built) == necklace_count(2, 11) == len(polys) - len(lower)
 
 
 @given(f=fq_poly(3, 5).filter(lambda f: f.degree >= 1))
