@@ -99,9 +99,9 @@ _PRINTABLE = 10**4300
 _MAX_EXPONENT = 10**4
 #: hensel prints x_0, ..., x_k: at most this many residue digits in all.
 _HENSEL_DIGITS = 3_000_000
-#: Bound on a digit lift's (terms) * sum over its k moduli of (bits + 256)**2:
-#: about 3 ps a unit on a 2-vCPU host (see ``_check_hensel_work``).
-_HENSEL_WORK = 2 * 10**11
+#: Bound on a Newton lift's (terms + 16) * (bitlen(p**(k+1)) + 256)**2: about
+#: 8 ps a unit in process on a 2-vCPU host (see ``_check_hensel_work``).
+_HENSEL_WORK = 10**11
 
 
 # -- input grammars -----------------------------------------------------------
@@ -272,19 +272,16 @@ def _check_hensel_output(p: int, k: int) -> None:
 
 
 def _check_hensel_work(p: int, k: int, terms: int) -> None:
-    """Refuse, before any lift, a digit lift of over _HENSEL_WORK units.
+    """Refuse, before any lift, a Newton lift of over _HENSEL_WORK units.
 
-    The lift makes k Horner passes of ``terms`` steps; a step mod p**(i+1)
-    multiplies and divides integers of L = bitlen(p**(i+1)) bits, which
-    CPython does in time quadratic in L, and costs about (L + 256)**2 units.
+    A doubling step to p**e runs Horner on f and f' (``terms`` products of
+    L = bitlen(p**e) bits, quadratic in L) and inverts f'; it costs about a
+    quarter of the next, so all cost under twice the last one, at e = k + 1.
     """
-    work, power = 0, p
-    for _ in range(k):
-        power *= p
-        work += (power.bit_length() + 256) ** 2
-    if terms * work > _HENSEL_WORK:
+    work = (terms + 16) * ((p ** (k + 1)).bit_length() + 256) ** 2
+    if work > _HENSEL_WORK:
         raise ResourceLimitError(
-            f"a digit lift of {terms} terms to p**{k + 1} exceeds {_HENSEL_WORK:.0e} work units"
+            f"a Newton lift of {terms} terms to p**{k + 1} exceeds {_HENSEL_WORK:.0e} work units"
         )
 
 

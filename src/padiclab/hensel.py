@@ -1,15 +1,15 @@
 """Hensel lifting of simple polynomial roots mod p**k.
 
-A root x0 of f mod p with f'(x0) != 0 mod p lifts uniquely: at step i the
-next digit is ``b_i = -(f(x_{i-1}) / p**i) * f'(x0)**-1 mod p``, giving
-residues with ``f(x_i) == 0 mod p**(i+1)`` and the coherence condition
-``x_i == x_{i-1} mod p**i``.  The inverse of f'(x0) mod p is computed once;
-for a simple root f'(x_i) stays congruent to it.
+A root x0 of f mod p with f'(x0) != 0 mod p lifts uniquely to roots x_i of f
+mod p**(i+1) with the coherence condition ``x_i == x_{i-1} mod p**i``.  Newton
+iteration doubles the precision, ``x <- x - f(x)/f'(x) mod p**(2e)``; it is the
+route ``hensel_lift``, the CLI and ``sqrt_padic`` take.  The linear digit scheme
+(``method="digit"``) is the reference the tests compare it with: step i adds the
+digit ``b_i = -(f(x_{i-1}) / p**i) * f'(x0)**-1 mod p``, the inverse computed
+once, as f'(x_i) stays congruent to f'(x0) for a simple root.
 
 A lift returns only the root mod p**(k+1); ``LiftTrace`` reads the digits
-b_i and the residues x_i = root mod p**(i+1) off it.  The linear scheme is
-the primary algorithm; Newton iteration (precision doubling) must give the
-same root — the tests compare the two — and is the route ``sqrt_padic`` takes.
+b_i and the residues x_i = root mod p**(i+1) off it.
 
 Polynomials are given as integer coefficient sequences, index i = the
 coefficient of x**i (a ``RationalPolynomial`` with integer entries is also
@@ -101,11 +101,11 @@ def roots_mod_p(f, p: int) -> list[int]:
     return [x for x in range(p) if _poly_eval(coeffs, x, p) == 0]
 
 
-def hensel_lift(f, x0: int, p: int, k: int, method: str = "digit") -> LiftTrace:
+def hensel_lift(f, x0: int, p: int, k: int, method: str = "newton") -> LiftTrace:
     """Lift the simple root x0 of f mod p to a root mod p**(k+1).
 
-    ``method`` selects the linear digit-by-digit scheme (default) or the
-    quadratic ``"newton"`` fast path; both return the same root.
+    ``method`` selects quadratic Newton iteration (default) or the linear
+    ``"digit"`` reference scheme; both return the same root.
     """
     require_prime(p)
     coeffs = _int_coeffs(f)
@@ -162,4 +162,4 @@ def sqrt_padic(a: int, p: int, r: int) -> list[PadicNumber]:
     if a % p == 0:
         raise DomainError(f"gcd(a, {p}) must be 1")
     f = (-a, 0, 1)  # x**2 - a
-    return [hensel_lift(f, x, p, r - 1, "newton").as_padic(r) for x in roots_mod_p(f, p)]
+    return [hensel_lift(f, x, p, r - 1).as_padic(r) for x in roots_mod_p(f, p)]

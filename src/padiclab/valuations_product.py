@@ -295,10 +295,11 @@ class FqPolynomial:
         return FqPolynomial(self.p, tuple(c * inv % self.p for c in self.coefficients))
 
     def gcd(self, other: "FqPolynomial") -> "FqPolynomial":
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic()
+        self._same_field(other)
+        a, b = self.coefficients, other.coefficients
+        while b:
+            a, b = b, _poly_divmod(a, b, self.p)[1]
+        return FqPolynomial(self.p, a).monic()
 
     def __call__(self, x: int) -> int:
         return _poly_eval(self.coefficients, x, self.p)

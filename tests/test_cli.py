@@ -7,6 +7,7 @@ text renderings of the worked examples are pinned byte-for-byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import random
@@ -21,6 +22,7 @@ from jsonschema import Draft202012Validator
 
 from padiclab import ResourceLimitError, cli, valuations_product
 from padiclab.cli import build_parser, main, parse_polynomial
+from padiclab.hensel import hensel_lift
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas" / "v1"
 
@@ -203,6 +205,34 @@ def test_hensel_json_schema():
     assert payload["digits"] == [3, 1, 2]
     assert payload["residues"] == [3, 10, 108]
     assert payload["sum"] == "3 + 7·1 + 7²·2"
+
+
+def _hensel_requests(n: int = 40, seed: int = 14) -> list[list[str]]:
+    """Seeded ``hensel`` argv lists, each lifting a simple root; the first at k = 0."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        p, x0 = rng.choice([2, 3, 5, 7, 101]), rng.randrange(-200, 200)
+        coeffs = [rng.randint(-50, 50) for _ in range(rng.randint(1, 6))]
+        coeffs.append(rng.choice([-1, 1]) * rng.randint(1, 50))
+        coeffs[0] -= sum(c * x0**i for i, c in enumerate(coeffs)) % p
+        if sum(i * c * x0 ** (i - 1) for i, c in enumerate(coeffs) if i) % p == 0:
+            continue
+        poly = "".join(f"{c:+d}x^{i}" if i else f"{c:+d}" for i, c in enumerate(coeffs) if c)
+        k = 0 if not out else rng.randint(0, 60)
+        out.append(["hensel", f"--poly={poly}", "--p", str(p), f"--x0={x0}", "--k", str(k)])
+    return out
+
+
+def test_hensel_matches_the_digit_reference(monkeypatch):
+    digit_lift = functools.partial(hensel_lift, method="digit")
+    for argv in _hensel_requests():
+        for mode in ([], ["--json"]):
+            got = run_cli(*argv, *mode)
+            with monkeypatch.context() as m:
+                m.setattr(cli, "hensel_lift", digit_lift)
+                assert run_cli(*argv, *mode) == got
+            assert got[0] == 0, (argv, got[2])
 
 
 def test_sqrt_json_schema():
@@ -817,12 +847,12 @@ def test_hensel_output_bound_refuses_before_any_lift(monkeypatch):
 
 @pytest.mark.parametrize("json_mode", [False, True])
 def test_hensel_lift_work_refused_before_any_lift(monkeypatch, json_mode):
-    # 10001 Horner terms times 800 moduli up to 2**801: far past the work bound
+    # 10001 Horner terms mod 7**2663: a Newton lift of ~5 s, past the work bound
     def unreachable(*args, **kwargs):
         raise AssertionError("the work bound must refuse before any lift")
 
     monkeypatch.setattr("padiclab.cli.hensel_lift", unreachable)
-    argv = ["hensel", "--poly", "x^10000+x+2", "--p", "2", "--x0", "0", "--k", "800"]
+    argv = ["hensel", "--poly", "x^10000+x+5", "--p", "7", "--x0", "1", "--k", "2662"]
     t0 = time.perf_counter()
     code, out, err = run_cli(*argv, *(["--json"] if json_mode else []))
     assert time.perf_counter() - t0 < 1.0
@@ -836,14 +866,29 @@ def test_hensel_lift_work_refused_before_any_lift(monkeypatch, json_mode):
         assert "work units" in err
 
 
+def test_hensel_newton_lift_admits_the_old_digit_refusal_cold():
+    # the digit-lift model refused this; Newton lifts it in ~0.1 s
+    argv = ["hensel", "--poly", "x^10000+x+2", "--p", "2", "--x0", "0", "--k", "800", "--json"]
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "padiclab", *argv],
+                          capture_output=True, text=True, timeout=30)
+    assert time.perf_counter() - t0 < 1.0
+    assert proc.returncode == 0, proc.stderr
+    root = json.loads(proc.stdout)["residues"][-1]
+    assert (root**10000 + root + 2) % 2**801 == 0
+
+
 def _lift_work(p: int, k: int) -> int:
-    # one Horner step mod p**(i+1), i = 1..k, costs (bits + 256)**2
-    return sum((len(bin(p ** (i + 1))) - 2 + 256) ** 2 for i in range(1, k + 1))
+    # all Newton steps together cost under twice the last one, mod p**(k+1)
+    return (len(bin(p ** (k + 1))) - 2 + 256) ** 2
 
 
-@pytest.mark.parametrize("p, k", [(2, 4461), (7, 400), (101, 100), (4294967291, 20)])
+@pytest.mark.parametrize(
+    "p, k",
+    [(2, 4461), (7, 400), (101, 100), (4294967291, 20), (7, 2662), (101, 1300), (4294967291, 440)],
+)
 def test_hensel_work_bound_admits_up_to_its_constant(p, k):
-    terms = cli._HENSEL_WORK // _lift_work(p, k)
+    terms = cli._HENSEL_WORK // _lift_work(p, k) - 16
     cli._check_hensel_work(p, k, terms)
     with pytest.raises(ResourceLimitError, match="work units"):
         cli._check_hensel_work(p, k, terms + 1)

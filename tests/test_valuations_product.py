@@ -244,6 +244,18 @@ def test_fq_gcd_divides_both(f, g):
     assert (g % d).degree < 0
 
 
+def test_coprime_rational_function_divides_on_coefficients_only(monkeypatch):
+    # Euclid's remainders come from _poly_divmod; no quotient polynomial is built
+    calls = []
+    divmod_ = FqPolynomial.__divmod__
+    monkeypatch.setattr(FqPolynomial, "__divmod__", lambda a, b: calls.append(1) or divmod_(a, b))
+    num, den = FqPolynomial.of(3, 1, 0, 2, 1), FqPolynomial.of(3, 2, 1, 1)
+    assert num.gcd(den) == FqPolynomial.one(3)
+    h = RationalFunction.of(num, den)
+    assert (h.num, h.den) == (num, den)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # Irreducible enumeration — necklace-count oracle
 # ---------------------------------------------------------------------------
