@@ -21,11 +21,14 @@ equation, (t - y) - t**2 y', collapses symbolically to the single monomial
 (-1)**(N+1) (N+1)! t**(N+2) — the omitted-term tail — and that cancellation
 is recomputed here with exact polynomial arithmetic rather than assumed.
 
-All floating work happens in mpmath at one precision, 40 digits; each halving
-of the trapezoid step reuses the old nodes, and the truncation index is exact.
-The t-free part of every node (three exponentials) is computed once per
-process and kept in a table bounded to levels of at most ``TABLE_NODES``
-nodes, as in Bailey, Jeyabalan & Li (2005); deeper levels are recomputed.
+Floating work happens in mpmath at one precision, 40 digits, except the
+quadrature's node sum, which runs in exact integers: each node's integrand is
+P/(s + u) with s = 1/t, each node adds one floor division, and the sum becomes
+an ``mpf`` once per level.  The t-free ints P and u of every node (three
+exponentials, kept at 400 fractional bits) are computed once per process and
+kept in a table bounded to levels of at most ``TABLE_NODES`` nodes, as in
+Bailey, Jeyabalan & Li (2005); deeper levels are recomputed.  Each halving of
+the trapezoid step reuses the old nodes, and the truncation index is exact.
 """
 
 from __future__ import annotations
@@ -157,18 +160,33 @@ def optimal_truncation_index(t, limit: int | None = None) -> int:
 
 #: Half-width of the trapezoid interval in w, and the node count of its first level.
 _WIDTH, _FIRST_NODES = 5, 16
-#: Node parts of trapezoid levels up to this many nodes are kept (~1.2 MB).
+#: Fractional bits of the fixed-point node ints.  s = 1/t reaches down to
+#: 1/MAX_QUADRATURE_T = 1e-60 (2**-199) and the w = -5 node has u = 2.5e-67
+#: (2**-222); at 400 bits each keeps over 140 of its own, past the 136-bit
+#: mantissa of a 40-digit value, so the table's ints hold those values exactly.
+_FRAC_BITS = 400
+#: Each node's quotient P/(s + u) is summed at 2**-E, E = this + the bits of s above 1.
+_QUOTIENT_BITS = 140
+#: Node parts of trapezoid levels up to this many nodes are kept (~0.4 MB).
 TABLE_NODES = 2048
 #: key -> node parts: 0 the two ends, j >= 1 the new nodes of the level with
 #: 8 * 2**j nodes (all 15 interior ones at j = 1, then the odd ones).
-_NODE_TABLE: dict[int, tuple] = {}
+_NODE_TABLE: dict[int, tuple[tuple[int, int], ...]] = {}
+
+
+def _fixed(x) -> int:
+    """x as an int at _FRAC_BITS fractional bits, truncated."""
+    return int(mp.ldexp(x, _FRAC_BITS))
 
 
 def _node_part(w):
-    """(exp(-u), u, 1 + exp(-w)) at u = exp(w - exp(-w)): the t-free part of the integrand."""
+    """(P, u) in fixed point at u = exp(w - exp(-w)), P = exp(-u) * u * (1 + exp(-w)).
+
+    With s = 1/t the integrand is P/(s + u), so this is its whole t-free part.
+    """
     ew = mp.exp(-w)
     u = mp.exp(w - ew)
-    return mp.exp(-u), u, 1 + ew
+    return _fixed(mp.exp(-u) * u * (1 + ew)), _fixed(u)
 
 
 def _node_parts(key):
@@ -196,8 +214,10 @@ def borel_sum(t, tol=DEFAULT_TOL) -> SummationResult:
     Integrates exp(-u) * t/(1 + t*u) over u >= 0 with the substitution
     u = exp(w - exp(-w)), trapezoid on w in [-5, 5], doubling the node
     count until two successive estimates agree to ``tol`` (relative).
-    The t-free part of each node is computed once per process for levels
-    up to ``TABLE_NODES`` nodes and recomputed beyond them.  A t above
+    Each node's integrand is P/(s + u) with s = 1/t, summed in exact integers
+    by one floor division per node; the sum becomes an ``mpf`` once per level.
+    The t-free ints P and u are computed once per process for levels up to
+    ``TABLE_NODES`` nodes and recomputed beyond them.  A t above
     ``MAX_QUADRATURE_T`` is refused before any node.
     """
     with mp.workdps(WORKING_DPS):
@@ -205,18 +225,19 @@ def borel_sum(t, tol=DEFAULT_TOL) -> SummationResult:
         if tv > MAX_QUADRATURE_T:
             raise ResourceLimitError(f"t = {quoted(t)} exceeds the quadrature limit 1e60")
         tolv = _to_mp(tol)
+        s = _fixed(1 / tv)
+        shift = _QUOTIENT_BITS + max(0, s.bit_length() - _FRAC_BITS)
 
-        def g(part):
-            e, u, q = part
-            return e * tv / (1 + tv * u) * u * q
+        def node_sum(parts):  # the sum of P/(s + u) over the parts, at 2**-shift
+            return sum([(p << shift) // (s + u) for p, u in parts])
 
-        lo, hi = _node_parts(0)
+        ends = node_sum(_node_parts(0))
         n, h = _FIRST_NODES, 2 * mpf(_WIDTH) / _FIRST_NODES
-        total, prev = (g(lo) + g(hi)) / 2, None
+        total, prev = 0, None  # the interior nodes' sum
         for key in range(1, 15):  # 16, 32, ..., 16 * 2**13 nodes
             # every interior node first; after each halving only the odd ones
-            total += mp.fsum(g(part) for part in _node_parts(key))
-            est = h * total
+            total += node_sum(_node_parts(key))
+            est = h * mp.ldexp(ends + 2 * total, -shift - 1)
             if prev is not None:
                 # never certify below what the working precision resolves
                 certifiable = max(abs(est - prev), mp.eps * abs(est))

@@ -405,9 +405,12 @@ class RationalFunction:
         g = num.gcd(den)
         if g.degree > 0:
             num, den = num // g, den // g
-        inv = pow(den.leading, -1, den.p)
-        scale = FqPolynomial(den.p, (inv,))
-        return cls(num * scale, den * scale)
+        scale = FqPolynomial(den.p, (pow(den.leading, -1, den.p),))
+        # coprime with a monic denominator by construction: skip __post_init__'s second gcd
+        reduced = object.__new__(cls)
+        object.__setattr__(reduced, "num", num * scale)
+        object.__setattr__(reduced, "den", den * scale)
+        return reduced
 
     @property
     def p(self) -> int:

@@ -254,20 +254,28 @@ def test_borel_evaluates_each_node_once(monkeypatch, t, tol):
 
 
 def plain_borel_sum(t, tol):
-    """borel_sum recomputed node by node: every level's integrand from w itself."""
+    """borel_sum recomputed node by node: every level's fixed-point sum from w itself.
+
+    Each node adds floor(P * 2**E / (S + U)), P = exp(-u) u (1 + exp(-w)),
+    U = u and S = 1/t as ints at 400 fractional bits, E = 140 + the bits S
+    has beyond them; each level's estimate is h * (ends/2 + interior) / 2**E.
+    """
     with mp.workdps(resurgence.WORKING_DPS):
         tv, tolv, width = resurgence._to_mp(t), resurgence._to_mp(tol), mp.mpf(5)
+        S = int(mp.ldexp(1 / tv, 400))
+        E = 140 + max(0, S.bit_length() - 400)
 
         def g(w):
             ew = mp.exp(-w)
             u = mp.exp(w - ew)
-            return mp.exp(-u) * tv / (1 + tv * u) * u * (1 + ew)
+            P, U = int(mp.ldexp(mp.exp(-u) * u * (1 + ew), 400)), int(mp.ldexp(u, 400))
+            return (P << E) // (S + U)
 
         n, h, stride = 16, 2 * width / 16, 1
-        total, prev = (g(-width) + g(width)) / 2, None
+        ends, interior, prev = g(-width) + g(width), 0, None
         while True:
-            total += mp.fsum(g(-width + i * h) for i in range(1, n, stride))
-            est = h * total
+            interior += sum(g(-width + i * h) for i in range(1, n, stride))
+            est = h * mp.ldexp(ends + 2 * interior, -E - 1)
             if prev is not None and max(abs(est - prev), mp.eps * abs(est)) <= tolv * abs(est):
                 return est, n
             prev, n, h, stride = est, 2 * n, h / 2, 2
@@ -291,6 +299,41 @@ def test_borel_node_table_is_bit_identical_and_bounded(monkeypatch, table_nodes)
     kept = sorted(resurgence._NODE_TABLE)
     assert kept == list(range(len(kept)))
     assert 16 << (len(kept) - 2) == min(most, table_nodes)
+
+
+@pytest.mark.parametrize("t", ORACLE_GRID + [Fraction(3), Fraction(10**3), Fraction(10**12)])
+def test_borel_fixed_point_sum_keeps_working_precision(t):
+    # the integer node sum keeps the 40-digit working precision
+    with mp.workdps(40):
+        got = borel_sum(t, "1e-30").value
+        want = exp_e1_oracle(t)
+        assert abs(got - want) <= mp.mpf("1e-36") * want
+
+
+def mpf_trapezoid(t, nodes):
+    """The plain trapezoid rule of borel_sum's integrand on nodes + 1 points, all in mpf."""
+    with mp.workdps(40):
+        tv, h = mp.mpf(t), mp.mpf(10) / nodes
+
+        def g(w):
+            u = mp.exp(w - mp.exp(-w))
+            return mp.exp(-u) * tv / (1 + tv * u) * u * (1 + mp.exp(-w))
+
+        ends = (g(mp.mpf(-5)) + g(mp.mpf(5))) / 2
+        return h * (ends + mp.fsum(g(-5 + i * h) for i in range(1, nodes)))
+
+
+@pytest.mark.parametrize(
+    "t, tol, nodes",
+    [("1e-300", "1e-10", 64), ("1e-300", "1e-16", 128), ("1e-40", "1e-10", 64),
+     ("1e-40", "1e-16", 128), ("1e60", "1e-10", 2048)],
+)
+def test_borel_fixed_point_sum_at_extreme_t(t, tol, nodes):
+    # s = 1/t from 1e300 down to 1e-60: the quotients keep their bits at both ends
+    result = borel_sum(t, tol)
+    assert result.method == f"borel(nodes={nodes})"
+    plain = mpf_trapezoid(t, nodes)
+    assert abs(result.value - plain) <= mp.mpf("1e-36") * plain
 
 
 def test_borel_rejects_nonpositive_t():

@@ -256,6 +256,21 @@ def test_coprime_rational_function_divides_on_coefficients_only(monkeypatch):
     assert calls == []
 
 
+def test_rational_function_of_runs_euclid_once(monkeypatch):
+    # of() reduces the pair itself; only a direct RationalFunction(num, den) re-checks it
+    calls = []
+    gcd = FqPolynomial.gcd
+    monkeypatch.setattr(FqPolynomial, "gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    num, den = FqPolynomial.of(3, 1, 0, 2, 1), FqPolynomial.of(3, 2, 1, 1)
+    h = RationalFunction.of(num, den)
+    assert (h.num, h.den) == (num, den)
+    assert calls == [1]
+    x = FqPolynomial.of(3, 0, 1)
+    with pytest.raises(DomainError, match="coprime"):
+        RationalFunction(x, x)
+    assert RationalFunction.of(x, x) == RationalFunction(FqPolynomial.one(3), FqPolynomial.one(3))
+
+
 # ---------------------------------------------------------------------------
 # Irreducible enumeration — necklace-count oracle
 # ---------------------------------------------------------------------------
