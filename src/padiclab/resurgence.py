@@ -165,7 +165,9 @@ _WIDTH, _FIRST_NODES = 5, 16
 #: (2**-222); at 400 bits each keeps over 140 of its own, past the 136-bit
 #: mantissa of a 40-digit value, so the table's ints hold those values exactly.
 _FRAC_BITS = 400
-#: Each node's quotient P/(s + u) is summed at 2**-E, E = this + the bits of s above 1.
+#: Each node's quotient P/(s + u) is summed at 2**-E, E = this + k, k the number of
+#: bits of s above 1; s and u are cut to 400 - k fractional bits, so the divisor
+#: keeps about 400 bits and no int grows with the exponent of t.
 _QUOTIENT_BITS = 140
 #: Node parts of trapezoid levels up to this many nodes are kept (~0.4 MB).
 TABLE_NODES = 2048
@@ -214,8 +216,9 @@ def borel_sum(t, tol=DEFAULT_TOL) -> SummationResult:
     Integrates exp(-u) * t/(1 + t*u) over u >= 0 with the substitution
     u = exp(w - exp(-w)), trapezoid on w in [-5, 5], doubling the node
     count until two successive estimates agree to ``tol`` (relative).
-    Each node's integrand is P/(s + u) with s = 1/t, summed in exact integers
-    by one floor division per node; the sum becomes an ``mpf`` once per level.
+    Each node's integrand is P/(s + u) with s = 1/t, summed in integers of
+    about 400 bits whatever t is, by one floor division per node; the sum
+    becomes an ``mpf`` once per level.
     The t-free ints P and u are computed once per process for levels up to
     ``TABLE_NODES`` nodes and recomputed beyond them.  A t above
     ``MAX_QUADRATURE_T`` is refused before any node.
@@ -225,11 +228,13 @@ def borel_sum(t, tol=DEFAULT_TOL) -> SummationResult:
         if tv > MAX_QUADRATURE_T:
             raise ResourceLimitError(f"t = {quoted(t)} exceeds the quadrature limit 1e60")
         tolv = _to_mp(tol)
-        s = _fixed(1 / tv)
-        shift = _QUOTIENT_BITS + max(0, s.bit_length() - _FRAC_BITS)
+        x = 1 / tv
+        k = max(0, mp.frexp(x)[1])  # the bits of s = 1/t above 1
+        s = int(mp.ldexp(x, _FRAC_BITS - k))
+        shift = _QUOTIENT_BITS + k
 
         def node_sum(parts):  # the sum of P/(s + u) over the parts, at 2**-shift
-            return sum([(p << shift) // (s + u) for p, u in parts])
+            return sum([(p << _QUOTIENT_BITS) // (s + (u >> k)) for p, u in parts])
 
         ends = node_sum(_node_parts(0))
         n, h = _FIRST_NODES, 2 * mpf(_WIDTH) / _FIRST_NODES
@@ -301,7 +306,8 @@ def general_solution(t, a, tol=DEFAULT_TOL) -> SummationResult:
 
     The homogeneous term satisfies t**2 y' = -y identically.  For very
     small t with a != 0 the exponential dwarfs every other scale, so the
-    evaluation is refused rather than returned as noise.
+    evaluation is refused rather than returned as noise; at a = 0 the
+    exponential, slow to evaluate at t = 1e-99999, is not computed.
     """
     with mp.workdps(WORKING_DPS):
         tv = _require_positive(t)
@@ -312,7 +318,7 @@ def general_solution(t, a, tol=DEFAULT_TOL) -> SummationResult:
                 "pass a=0 or t >= 1e-6"
             )
         base = borel_sum(t, tol=tol)
-        value = base.value + av * mp.exp(1 / tv)
+        value = base.value + av * mp.exp(1 / tv) if av != 0 else base.value
         return SummationResult(value, f"general(a={av})", base.error_estimate)
 
 

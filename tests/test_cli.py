@@ -622,6 +622,30 @@ def test_tiny_t_table_refused_before_the_exact_rational(t, json_mode):
         assert "series order above the limit 500" in proc.stderr
 
 
+@pytest.mark.parametrize("json_mode", [False, True])
+@pytest.mark.parametrize("extra", [[], ["--a", "0"]])
+@pytest.mark.parametrize("t", ["1e-9999999", "1e-999999999"])
+def test_tiny_t_borel_refused_without_wide_ints(t, extra, json_mode):
+    # the quadrature's ints stay ~400 bits at any t, and a = 0 skips exp(1/t),
+    # so the step check of ode_residual answers at once
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "padiclab", "borel", "--t", t, *extra,
+         *(["--json"] if json_mode else [])],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert (proc.returncode, proc.stdout) == (1, "")
+    if json_mode:
+        payload = json.loads(proc.stderr)
+        load_schema("error").validate(payload)
+        assert payload == {"error": "need 0 < h < t", "error_code": "domain_error"}
+    else:
+        assert proc.stderr == "error: need 0 < h < t\n"
+
+
 @pytest.mark.parametrize("samples, degree", [(101, 4), (1, 500)])
 def test_seminorm_work_bound(samples, degree):
     # samples**2 * (degree + 1)**2 just above 250000

@@ -256,20 +256,21 @@ def test_borel_evaluates_each_node_once(monkeypatch, t, tol):
 def plain_borel_sum(t, tol):
     """borel_sum recomputed node by node: every level's fixed-point sum from w itself.
 
-    Each node adds floor(P * 2**E / (S + U)), P = exp(-u) u (1 + exp(-w)),
-    U = u and S = 1/t as ints at 400 fractional bits, E = 140 + the bits S
-    has beyond them; each level's estimate is h * (ends/2 + interior) / 2**E.
+    Each node adds floor(P * 2**140 / (S + U)), P = exp(-u) u (1 + exp(-w))
+    at 400 fractional bits, and S = 1/t, U = u at 400 - k of them, k >= 0 the
+    bits of 1/t above 1; each level's estimate is h * (ends/2 + interior) / 2**E,
+    E = 140 + k.
     """
     with mp.workdps(resurgence.WORKING_DPS):
         tv, tolv, width = resurgence._to_mp(t), resurgence._to_mp(tol), mp.mpf(5)
-        S = int(mp.ldexp(1 / tv, 400))
-        E = 140 + max(0, S.bit_length() - 400)
+        k = max(0, mp.frexp(1 / tv)[1])
+        S, E = int(mp.ldexp(1 / tv, 400 - k)), 140 + k
 
         def g(w):
             ew = mp.exp(-w)
             u = mp.exp(w - ew)
             P, U = int(mp.ldexp(mp.exp(-u) * u * (1 + ew), 400)), int(mp.ldexp(u, 400))
-            return (P << E) // (S + U)
+            return (P << 140) // (S + (U >> k))
 
         n, h, stride = 16, 2 * width / 16, 1
         ends, interior, prev = g(-width) + g(width), 0, None
@@ -325,11 +326,12 @@ def mpf_trapezoid(t, nodes):
 
 @pytest.mark.parametrize(
     "t, tol, nodes",
-    [("1e-300", "1e-10", 64), ("1e-300", "1e-16", 128), ("1e-40", "1e-10", 64),
+    [("1e-9999999", "1e-10", 64), ("1e-300", "1e-10", 64), ("1e-300", "1e-16", 128),
+     ("1e-40", "1e-10", 64),
      ("1e-40", "1e-16", 128), ("1e60", "1e-10", 2048)],
 )
 def test_borel_fixed_point_sum_at_extreme_t(t, tol, nodes):
-    # s = 1/t from 1e300 down to 1e-60: the quotients keep their bits at both ends
+    # s = 1/t from 1e9999999 down to 1e-60: the quotients keep their bits at both ends
     result = borel_sum(t, tol)
     assert result.method == f"borel(nodes={nodes})"
     plain = mpf_trapezoid(t, nodes)
