@@ -12,7 +12,7 @@ Conventions: exact rationals appear in JSON as {"num", "den"} string pairs;
 high-precision reals as decimal strings; identical invocations produce
 identical bytes.  Exit codes: 0 success, 1 domain error (including an
 unparsable rational or real), 2 usage error, 3 resource limit (for example
-``pauli basis-check`` beyond n = 3).  Errors go to stderr as one line (JSON
+``pauli basis-check`` beyond n = 4).  Errors go to stderr as one line (JSON
 mode: an object with ``error`` and ``error_code``).
 
 Defaults r=8 (``--r`` of expand, sqrt and every code subcommand) and

@@ -11,8 +11,10 @@ product, and Clifford membership (normalizer of the Pauli group) is decided
 by exact conjugation and Pauli-basis decomposition, never numerically.  A
 Pauli word's matrix is monomial (one entry in {1, i, -1, -i} per column), so
 each decomposition coefficient, the trace inner product tr(B† M) / 2**n,
-is a sum over the 2**n nonzero entries of B.  Unitaries are accepted up to
-an exact global scalar, so Hadamard-like matrices avoid any 1/sqrt(2).
+is a sum over the 2**n nonzero entries of B.  Both checks use only it, the
+basis check on each word's own matrix, and each is refused before it starts
+when its entry products would pass 2**20.  Unitaries are accepted up to an
+exact global scalar, so Hadamard-like matrices avoid any 1/sqrt(2).
 
 Lattices are finite and explicit: the order is held as one down-set bitmask
 per element, validated by bit tests, and meet and join are read off
@@ -90,7 +92,6 @@ class GaussianRational:
         return f"{self.re}{sign}{mag}i"
 
 
-G_ONE = GaussianRational.of(1)
 #: i**k for k mod 4, as (re, im)
 _I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
@@ -229,6 +230,8 @@ class GaussianMatrix:
 #: Each letter's (x, z) bits; a (1, 1) pair is Y = i X Z, so it carries a phase i.
 _PAULI_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _PAULI_LETTERS = {bits: letter for letter, bits in _PAULI_BITS.items()}
+#: log2 of the entry products one basis or normalizer check may spend (~1 s cold)
+_WORK_LIMIT_BITS = 20
 
 
 @dataclass(frozen=True)
@@ -313,7 +316,9 @@ def pauli_generators(n: int) -> list[PauliElement]:
 
 def pauli_group_order(n: int) -> int:
     """Order of the closure of the generators; equals 4**(n+1)."""
-    if n not in (1, 2):
+    if n < 1:
+        raise DomainError("n must be at least 1")
+    if n > 2:
         raise ResourceLimitError("group closure is enumerated only for n in {1, 2}")
     gens = pauli_generators(n)
     seen = {PauliElement.identity(n)}
@@ -386,43 +391,23 @@ class BasisReport:
         )
 
 
-def _rank(vectors: list[list[GaussianRational]]) -> int:
-    rows = [list(v) for v in vectors]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot = next(
-            (i for i in range(rank, len(rows)) if not rows[i][col].is_zero), None
-        )
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = G_ONE / rows[rank][col]
-        rows[rank] = [inv * v for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and not rows[i][col].is_zero:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
 def pauli_basis_check(n: int = 1) -> BasisReport:
-    """Exact rank check: the 4**n sigma words are a basis of the 2**n matrices.
+    """The 4**n sigma words are a basis of the 2**n x 2**n matrices.
 
-    Elimination runs on a 4**n x 4**n Gaussian-rational matrix (256 x 256
-    at n = 4), so n is limited to 1..3.
+    Each word's own decomposition must be {word: 1}: tr(P_a† P_b) = 2**n δ_ab,
+    so the distinct words are orthonormal, hence independent, and 4**n of them
+    span; any other decomposition fails both.  The work, 4**n decompositions of
+    4**n * 2**n entry products, is bounded by its exponent 5n.
     """
-    if n > 3:
-        raise ResourceLimitError("basis checking is supported for n <= 3")
-    vectors = []
-    for b in pauli_basis(n):
-        vectors.append([v for row in b.to_matrix().rows for v in row])
-    rank = _rank(vectors)
-    full = 4**n
-    return BasisReport(independent=rank == full, spanning=rank == full)
+    if 5 * n > _WORK_LIMIT_BITS:
+        raise ResourceLimitError(
+            f"basis checking needs 2**{5 * n} entry products, over 2**{_WORK_LIMIT_BITS}"
+        )
+    words = pauli_basis(n)
+    one = GaussianRational.of(1)
+    orthonormal = all(decompose_in_pauli_basis(w.to_matrix(), n) == {w: one} for w in words)
+    rank = len(set(words)) if orthonormal else 0  # without orthonormality, none is certified
+    return BasisReport(independent=rank == len(words), spanning=rank == 4**n)
 
 
 @dataclass(frozen=True)
@@ -444,24 +429,29 @@ def is_in_normalizer(u: GaussianMatrix, n: int | None = None) -> NormalizerCheck
 
     ``u`` must be unitary up to a nonzero exact scalar (u @ u† = c*I); the
     conjugate u g u**-1 is then (u g u†)/c, and membership requires its
-    Pauli-basis support to be a single word for every generator.
+    Pauli-basis support to be a single word for every generator; scaling by
+    c leaves the support alone, so u g u† is decomposed as it is.  The work is
+    8**n entry products for u @ u†, then 3 * 8**n per generator: (6n + 1) * 8**n.
     """
-    if n is None:
-        n = u.dim.bit_length() - 1
-    if u.dim != 2**n:
-        raise DomainError(f"expected a {2**n}x{2**n} matrix")
-    if n > 2:
-        raise ResourceLimitError("normalizer checking is supported for n <= 2")
+    qubits = u.dim.bit_length() - 1
+    if qubits < 1 or u.dim != 1 << qubits:
+        raise DomainError(f"matrix side {u.dim} is not 2**n for a qubit count n >= 1")
+    if n not in (None, qubits):
+        raise DomainError(f"matrix side {u.dim} is 2**{qubits}, not 2**{n}")
+    n = qubits
+    if (work := (6 * n + 1) << 3 * n) > 1 << _WORK_LIMIT_BITS:
+        raise ResourceLimitError(
+            f"normalizer checking needs {6 * n + 1} * 8**{n} = {work} entry products,"
+            f" over 2**{_WORK_LIMIT_BITS}"
+        )
     udag = u.conjugate_transpose()
     c = (u @ udag).scalar_multiple_of_identity()
     if c is None:
         raise DomainError("matrix is not unitary up to an exact scalar")
     if c.is_zero:
         raise DomainError("matrix is not invertible")
-    c_inv = G_ONE / c
     for g in pauli_generators(n)[1:]:  # skip i*I: central, always fine
-        image = (u @ g.to_matrix() @ udag).scale(c_inv)
-        if len(decompose_in_pauli_basis(image, n)) != 1:
+        if len(decompose_in_pauli_basis(u @ g.to_matrix() @ udag, n)) != 1:
             return NormalizerCheck(False, g)
     return NormalizerCheck(True)
 

@@ -435,12 +435,104 @@ def test_usage_error_exits_2():
 
 
 def test_basis_check_beyond_three_qubits_exits_3():
-    code, out, err = run_cli("pauli", "basis-check", "--n", "4", "--json")
+    code, out, err = run_cli("pauli", "basis-check", "--n", "5", "--json")
     assert code == 3
     assert out == ""
     payload = json.loads(err)
     load_schema("error").validate(payload)
     assert payload["error_code"] == "resource_limit"
+
+
+@pytest.mark.parametrize("json_mode", [False, True])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["order", "--n", "0"],
+        ["order", "--n", "-1"],
+        ["basis-check", "--n", "0"],
+    ],
+)
+def test_pauli_counts_below_one_qubit_exit_1(argv, json_mode):
+    code, out, err = run_cli("pauli", *argv, *(["--json"] if json_mode else []))
+    assert (code, out) == (1, "")
+    assert len(err.strip().splitlines()) == 1
+    if json_mode:
+        payload = json.loads(err)
+        load_schema("error").validate(payload)
+        assert payload["error_code"] == "domain_error"
+    else:
+        assert err == "error: n must be at least 1\n"
+
+
+@pytest.mark.parametrize("json_mode", [False, True])
+@pytest.mark.parametrize("matrix, side", [("1", 1), ("1,0,0;0,1,0;0,0,1", 3)])
+def test_normalizer_check_names_a_side_that_is_not_a_power_of_two(matrix, side, json_mode):
+    argv = ["pauli", "normalizer-check", "--matrix", matrix]
+    code, out, err = run_cli(*argv, *(["--json"] if json_mode else []))
+    assert (code, out) == (1, "")
+    message = f"matrix side {side} is not 2**n for a qubit count n >= 1"
+    if json_mode:
+        payload = json.loads(err)
+        load_schema("error").validate(payload)
+        assert (payload["error"], payload["error_code"]) == (message, "domain_error")
+    else:
+        assert err == f"error: {message}\n"
+
+
+def _hadamards(n: int) -> str:
+    """The --matrix text of the tensor power of [[1, 1], [1, -1]] on n qubits."""
+    side = 1 << n
+    sign = {0: "1", 1: "-1"}
+    return ";".join(
+        ",".join(sign[(i & j).bit_count() % 2] for j in range(side)) for i in range(side)
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        (["pauli", "basis-check", "--n", "4"], "independent: yes, spanning: yes\n"),
+        (["pauli", "normalizer-check", "--matrix", _hadamards(5)], "in the normalizer\n"),
+    ],
+    ids=["basis-n4", "normalizer-h5"],
+)
+def test_largest_admitted_pauli_checks(argv, stdout):
+    # 2**20 and 31 * 8**5 entry products: the work bound's last admitted requests
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "padiclab", *argv], capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, "")
+    assert time.perf_counter() - t0 < 5.0
+
+
+@pytest.mark.parametrize("json_mode", [False, True])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pauli", "basis-check", "--n", "5"],
+        ["pauli", "basis-check", "--n", str(10**18)],
+        ["pauli", "normalizer-check", "--matrix", _hadamards(6)],
+        ["pauli", "order", "--n", "3"],
+    ],
+    ids=["basis-n5", "basis-n1e18", "normalizer-64x64", "order-n3"],
+)
+def test_pauli_work_refused_fast(argv, json_mode):
+    # one process at a time; past 2**20 entry products, refused before any product
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "padiclab", *argv, *(["--json"] if json_mode else [])],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert len(proc.stderr.strip().splitlines()) == 1
+    if json_mode:
+        payload = json.loads(proc.stderr)
+        load_schema("error").validate(payload)
+        assert payload["error_code"] == "resource_limit"
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ structure, and exact Gaussian-rational matrices used as the oracle.
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -16,10 +17,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from padiclab import (
+    BasisReport,
     DomainError,
     FiniteLattice,
     GaussianMatrix,
     GaussianRational,
+    NormalizerCheck,
     PauliElement,
     ResourceLimitError,
     boolean_lattice,
@@ -31,11 +34,13 @@ from padiclab import (
     is_modular,
     pauli_basis,
     pauli_basis_check,
+    pauli_generators,
     pauli_group_order,
     pauli_mul,
     pentagon_lattice,
     subspace_lattice,
 )
+from padiclab import quantum_logic
 
 
 def rand_pauli(n: int):
@@ -229,6 +234,12 @@ def test_group_orders():
         pauli_group_order(3)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_group_order_needs_a_qubit(n):
+    with pytest.raises(DomainError, match="n must be at least 1"):
+        pauli_group_order(n)
+
+
 def test_pauli_str_forms():
     assert str(PauliElement.identity(2)) == "II"
     assert str(PauliElement(1, (1, 0), (1, 0))) == "YI"  # i * (XZ = -iY) folds to Y
@@ -245,11 +256,69 @@ def test_basis_check_passes():
 
 
 def test_basis_check_guard():
-    assert pauli_basis_check(2).passed
+    assert pauli_basis_check(4).passed
     with pytest.raises(ResourceLimitError):
-        pauli_basis_check(4)
+        pauli_basis_check(5)
     with pytest.raises(DomainError):
         pauli_basis_check(-1)
+
+
+def test_basis_check_refuses_a_huge_n_by_its_exponent():
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=r"2\*\*25 entry products"):
+        pauli_basis_check(5)
+    with pytest.raises(ResourceLimitError):
+        pauli_basis_check(10**18)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def _elimination_rank(vectors: list[list[GaussianRational]]) -> int:
+    """Gauss-Jordan rank over the Gaussian rationals: the basis check's oracle."""
+    rows = [list(v) for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if not rows[i][col].is_zero), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = GaussianRational.of(1) / rows[rank][col]
+        rows[rank] = [inv * v for v in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and not rows[i][col].is_zero:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def _eliminated(words) -> BasisReport:
+    rank = _elimination_rank([[v for row in w.to_matrix().rows for v in row] for w in words])
+    n = words[0].n
+    return BasisReport(independent=rank == len(words), spanning=rank == 4**n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_basis_check_agrees_with_elimination(n):
+    assert pauli_basis_check(n) == _eliminated(pauli_basis(n)) == BasisReport(True, True)
+
+
+@pytest.mark.parametrize("support_cached", [True, False])
+def test_repeated_word_fails_both_routes(monkeypatch, support_cached):
+    words = pauli_basis(2)
+    repeated = words[:-1] + words[:1]
+    assert _eliminated(repeated) == BasisReport(independent=False, spanning=False)
+    # the decomposition reads its support from pauli_basis through a cache, so
+    # check both the genuine cached support and one built from the repeated list
+    quantum_logic._basis_support.cache_clear()
+    if support_cached:
+        quantum_logic._basis_support(2)
+    monkeypatch.setattr(quantum_logic, "pauli_basis", lambda n: list(repeated))
+    try:
+        assert pauli_basis_check(2) == BasisReport(independent=False, spanning=False)
+    finally:
+        quantum_logic._basis_support.cache_clear()
 
 
 def test_decompose_e11():
@@ -439,6 +508,76 @@ def test_non_clifford_factor_fails_at_the_first_generator():
             check = is_in_normalizer(u @ v)
             assert not check.member
             assert str(check.failing_generator) == "XI", names
+
+
+# Work-bounded boundaries: the normalizer check costs (6n + 1) * 8**n entry
+# products, admitted up to 2**20, so n = 5 runs and a 64x64 matrix is refused.
+
+
+def _on_qubit(gate: GaussianMatrix, j: int, n: int) -> GaussianMatrix:
+    """``gate`` acting on qubits j, j + 1, ... of n, identity elsewhere."""
+    left = GaussianMatrix.identity(2**j)
+    right = GaussianMatrix.identity(2**n // (2**j * gate.dim))
+    return left.kron(gate).kron(right)
+
+
+def _rescaled_verdict(u: GaussianMatrix) -> NormalizerCheck:
+    """Membership read off the decomposition of the conjugate (u g u†)/c itself."""
+    udag = u.conjugate_transpose()
+    c_inv = GaussianRational.of(1) / (u @ udag).scalar_multiple_of_identity()
+    n = u.dim.bit_length() - 1
+    for g in pauli_generators(n)[1:]:
+        terms = decompose_in_pauli_basis((u @ g.to_matrix() @ udag).scale(c_inv), n)
+        if len(terms) != 1:
+            return NormalizerCheck(False, g)
+        # g squares to I, so its conjugate does too: a sigma word with a real sign
+        assert set(terms.values()) <= {GaussianRational.of(1), GaussianRational.of(-1)}
+    return NormalizerCheck(True)
+
+
+def test_hadamard_on_five_qubits_is_a_member():
+    u = HADAMARD_LIKE
+    for _ in range(4):
+        u = u.kron(HADAMARD_LIKE)
+    assert is_in_normalizer(u) == NormalizerCheck(True)
+
+
+def test_three_qubit_clifford_and_phase_gate_match_the_rescaled_decomposition():
+    cnot = GATES_2Q["CNOT"][0]
+    clifford = (
+        _on_qubit(HADAMARD_LIKE, 0, 3)
+        @ _on_qubit(cnot, 0, 3)
+        @ _on_qubit(PHASE_S, 1, 3)
+        @ _on_qubit(cnot, 1, 3)
+        @ _on_qubit(HADAMARD_LIKE, 2, 3)
+    )
+    assert is_in_normalizer(clifford) == _rescaled_verdict(clifford) == NormalizerCheck(True)
+    spoiled = clifford @ _on_qubit(NON_CLIFFORD, 2, 3)
+    check = is_in_normalizer(spoiled)
+    assert check == _rescaled_verdict(spoiled)
+    assert not check.member and str(check.failing_generator) == "IIX"
+
+
+def test_normalizer_work_refused_before_any_product(monkeypatch):
+    def unreachable(self, other):
+        raise AssertionError("the work bound must refuse before any product")
+
+    monkeypatch.setattr(GaussianMatrix, "__matmul__", unreachable)
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=r"needs 37 \* 8\*\*6 = 9699328"):
+        is_in_normalizer(GaussianMatrix.identity(64))
+    assert time.perf_counter() - t0 < 0.1
+
+
+@pytest.mark.parametrize("side", [1, 3, 6])
+def test_normalizer_names_a_side_that_is_not_a_power_of_two(side):
+    with pytest.raises(DomainError, match=rf"matrix side {side} is not 2\*\*n"):
+        is_in_normalizer(GaussianMatrix.identity(side))
+
+
+def test_normalizer_refuses_a_side_that_disagrees_with_n():
+    with pytest.raises(DomainError, match=r"matrix side 2 is 2\*\*1, not 2\*\*2"):
+        is_in_normalizer(HADAMARD_LIKE, 2)
 
 
 # ---------------------------------------------------------------------------
