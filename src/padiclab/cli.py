@@ -518,10 +518,11 @@ def _check_seminorm_work(samples: int, degree: int) -> None:
     """Refuse, before any sample, a check of over _SEMINORM_WORK units.
 
     Each ordered pair costs its product's (degree + 1)**2 coefficient steps
-    plus _SEMINORM_PAIR units for the rest: about 20 us on a 2-vCPU host for
-    two Gauss norms, two Fraction operations and two reductions, 8 units at
-    the ~3 us a unit that puts the slowest admitted check, at degree 0, near
-    1 s cold.  A coefficient step costs well under a unit.
+    plus _SEMINORM_PAIR units for the rest: two Gauss norms, two Fraction
+    operations and two reductions take about 13 us on a 2-vCPU host
+    (Python 3.11), so a unit is ~1.6 us and the slowest admitted check, 166
+    samples at degree 0, takes about 0.65 s cold.  A coefficient step costs
+    ~0.1 us, well under a unit.
     """
     if max(samples, 0) ** 2 * ((degree + 1) ** 2 + _SEMINORM_PAIR) > _SEMINORM_WORK:
         raise ResourceLimitError(

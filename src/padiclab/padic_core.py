@@ -13,8 +13,13 @@ digits cancel, and the result reports only the digits actually guaranteed.
 A zero result of ``+`` means "indistinguishable from zero at the tracked
 precision".
 
-Valuations and norms of exact rationals are computed exactly: norms are
-``Fraction`` powers of ``1/p``, never floats.
+Only the public ``PadicNumber(...)`` constructor validates.  The named
+constructors check their own arguments, and every arithmetic result is built
+canonical by construction (reduced unit prime to p, zero exactly when the
+unit is 0), so no result re-runs those checks.
+
+Valuations and norms of exact rationals are computed exactly: a norm is the
+``Fraction`` p**e read off integer exponents, never a float.
 
 This module is also the package's exact-arithmetic core.  ``is_prime`` is
 its only primality test; ``_digits`` and ``_poly_eval`` are its only base-p
@@ -64,6 +69,16 @@ ARCHIMEDEAN = _Archimedean()
 # pseudoprime below 318665857834031151167461 (~3.18e23; Sorenson & Webster,
 # "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# (bound, k): below bound the first k bases admit no strong pseudoprime; each
+# bound is the least strong pseudoprime to those k bases (Jaeschke, "On
+# strong pseudoprimes to several bases", Math. Comp. 61, 1993; the nine-base
+# bound proven least by Jiang & Deng, Math. Comp. 83, 2014).
+_MR_TIERS = (
+    (3_215_031_751, 4),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+)
 
 
 @lru_cache(maxsize=4096)
@@ -72,6 +87,8 @@ def is_prime(p: int) -> bool:
 
     That bound (~3.18e23) is far past ``valuations_product.FACTOR_LIMIT``;
     above it a True answer means "strong probable prime to twelve bases".
+    Below the bounds of ``_MR_TIERS`` a proven-enough prefix of the bases
+    is tested.
     """
     if not isinstance(p, int):
         raise NotPrimeError(f"prime expected, got {p!r}")
@@ -84,7 +101,8 @@ def is_prime(p: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    k = next((k for bound, k in _MR_TIERS if p < bound), len(_MR_BASES))
+    for a in _MR_BASES[:k]:
         x = pow(a, d, p)
         if x in (1, p - 1):
             continue
@@ -184,20 +202,32 @@ def nu(a, p: int | None = None) -> Valuation:
     return Valuation(_int_valuation(a.numerator, p) - _int_valuation(a.denominator, p))
 
 
+def _p_power(p: int, e: int) -> Fraction:
+    """p**e as a Fraction, for any integer e."""
+    return Fraction(p**e) if e >= 0 else Fraction(1, p**-e)
+
+
 def norm(a, p) -> Fraction:
-    """Exact absolute value of a rational at the place p.
+    """Exact absolute value of a rational or a PadicNumber at the place p.
 
     For a finite prime this is ``(1/p) ** nu(a, p)`` with ``norm(0) == 0``;
-    for ``ARCHIMEDEAN`` it is the usual absolute value.
+    for ``ARCHIMEDEAN`` it is the usual absolute value.  A ``PadicNumber``
+    has a norm only at its own prime (``MixedPrimesError`` at another,
+    ``DomainError`` at ``ARCHIMEDEAN``), read off its valuation.
     """
-    a = Fraction(a)
+    if isinstance(a, PadicNumber):
+        if p is ARCHIMEDEAN:
+            raise DomainError("a p-adic number has no archimedean absolute value")
+        v = nu(a, p)
+        return Fraction(0) if v.is_infinite else _p_power(a.p, -v.value)
+    if not isinstance(a, Fraction):  # Fraction(a) of a Fraction only copies it
+        a = Fraction(a)
     if p is ARCHIMEDEAN:
         return abs(a)
     require_prime(p)
-    if a == 0:
+    if not a:
         return Fraction(0)
-    n = int(nu(a, p))
-    return Fraction(1, p) ** n
+    return _p_power(p, _int_valuation(a.denominator, p) - _int_valuation(a.numerator, p))
 
 
 # -- base-p digits and dense polynomials as coefficient tuples -------------
@@ -277,9 +307,22 @@ def _poly_str(coeffs: tuple, sep: str) -> str:
     return sep.join(parts).replace("+ -", "- ") if parts else "0"
 
 
+def _require_precision(p: int, r: int) -> None:
+    require_prime(p)
+    if r < 1:
+        raise DomainError("precision must be at least one digit")
+
+
 @dataclass(frozen=True)
 class PadicNumber:
-    """A p-adic number ``p**v * unit_value``, its unit known modulo ``p**r``."""
+    """A p-adic number ``p**v * unit_value``, its unit known modulo ``p**r``.
+
+    Invariant: p is a prime, r >= 1, ``0 <= unit_value < p**r``, and either
+    v is finite and p does not divide ``unit_value``, or v is infinite and
+    ``unit_value == 0`` (so zero is exactly unit 0).  ``PadicNumber(...)``
+    checks it; the named constructors and the arithmetic build results that
+    hold it by construction and skip the check.
+    """
 
     p: int
     v: Valuation
@@ -287,9 +330,7 @@ class PadicNumber:
     r: int
 
     def __post_init__(self):
-        require_prime(self.p)
-        if self.r < 1:
-            raise DomainError("precision must be at least one digit")
+        _require_precision(self.p, self.r)
         if not 0 <= self.unit_value < self.p**self.r:
             raise DomainError(f"unit must lie in [0, {self.p}**{self.r})")
         if self.v.is_infinite:
@@ -301,47 +342,53 @@ class PadicNumber:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _canonical(cls, p: int, v: Valuation, unit_value: int, r: int) -> "PadicNumber":
+        # fields already satisfy the invariant: skip __init__ and its checks
+        # (a frozen dataclass refuses setattr, so fill the instance dict)
+        x = object.__new__(cls)
+        d = x.__dict__
+        d["p"], d["v"], d["unit_value"], d["r"] = p, v, unit_value, r
+        return x
+
+    @classmethod
     def zero(cls, p: int, r: int) -> "PadicNumber":
-        return cls(p, INFINITY, 0, r)
+        _require_precision(p, r)
+        return cls._canonical(p, INFINITY, 0, r)
 
     @classmethod
     def from_integer(cls, n: int, p: int, r: int) -> "PadicNumber":
-        require_prime(p)
-        if r < 1:
-            raise DomainError("precision must be at least one digit")
+        _require_precision(p, r)
         if n == 0:
-            return cls.zero(p, r)
+            return cls._canonical(p, INFINITY, 0, r)
         v = _int_valuation(n, p)
-        return cls(p, Valuation(v), (n // p**v) % p**r, r)
+        return cls._canonical(p, Valuation(v), (n // p**v) % p**r, r)
 
     @classmethod
     def from_rational(cls, a, p: int, r: int) -> "PadicNumber":
-        require_prime(p)
-        if r < 1:
-            raise DomainError("precision must be at least one digit")
+        _require_precision(p, r)
         a = Fraction(a)
         if a == 0:
-            return cls.zero(p, r)
+            return cls._canonical(p, INFINITY, 0, r)
         vn = _int_valuation(a.numerator, p)
         vd = _int_valuation(a.denominator, p)
         b = a.numerator // p**vn
         c = a.denominator // p**vd
-        return cls(p, Valuation(vn - vd), b * pow(c, -1, p**r) % p**r, r)
+        return cls._canonical(p, Valuation(vn - vd), b * pow(c, -1, p**r) % p**r, r)
 
     @classmethod
     def _from_residue(cls, p: int, x: int, w: int, v0: int = 0) -> "PadicNumber":
-        """``p**v0 * x`` for x known mod ``p**w``; each factor p of x costs a digit."""
+        """``p**v0 * x`` for x known mod ``p**w``, w >= 1; each factor p of x costs a digit."""
         x %= p**w
         if x == 0:
-            return cls.zero(p, w)
+            return cls._canonical(p, INFINITY, 0, w)
         shift = _int_valuation(x, p)
-        return cls(p, Valuation(v0 + shift), x // p**shift, w - shift)
+        return cls._canonical(p, Valuation(v0 + shift), x // p**shift, w - shift)
 
     # -- structure ---------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return self.v.is_infinite
+        return not self.unit_value
 
     @property
     def unit(self) -> tuple[int, ...]:
@@ -352,7 +399,7 @@ class PadicNumber:
         """Forget digits beyond the first ``r``."""
         if not 1 <= r <= self.r:
             raise DomainError(f"cannot truncate {self.r}-digit value to {r} digits")
-        return PadicNumber(self.p, self.v, self.unit_value % self.p**r, r)
+        return PadicNumber._canonical(self.p, self.v, self.unit_value % self.p**r, r)
 
     def agrees_with(self, other: "PadicNumber") -> bool:
         """Whether the two precision-limited claims are mutually consistent.
@@ -375,6 +422,8 @@ class PadicNumber:
         return self.unit_value % m == other.unit_value % m
 
     # -- arithmetic --------------------------------------------------------
+    #
+    # Operands hold the invariant, so a nonzero operand has a finite v.value.
 
     def _check_compatible(self, other: "PadicNumber") -> None:
         if not isinstance(other, PadicNumber):
@@ -395,28 +444,28 @@ class PadicNumber:
         if other.is_zero:
             return self
         p = self.p
-        vx, vy = int(self.v), int(other.v)
+        vx, vy = self.v.value, other.v.value
         vmin = min(vx, vy)
         known = min(vx + self.r, vy + other.r)  # sum known mod p**known
         total = self.unit_value * p ** (vx - vmin) + other.unit_value * p ** (vy - vmin)
         return PadicNumber._from_residue(p, total, known - vmin, vmin)
 
     def neg(self) -> "PadicNumber":
-        return PadicNumber(self.p, self.v, -self.unit_value % self.p**self.r, self.r)
+        return PadicNumber._canonical(self.p, self.v, -self.unit_value % self.p**self.r, self.r)
 
     def mul(self, other: "PadicNumber") -> "PadicNumber":
         self._check_compatible(other)
-        r = min(self.r, other.r)
+        p, r = self.p, min(self.r, other.r)
         if self.is_zero or other.is_zero:
-            return PadicNumber.zero(self.p, r)
-        u = self.unit_value * other.unit_value % self.p**r
-        return PadicNumber(self.p, self.v + other.v, u, r)
+            return PadicNumber._canonical(p, INFINITY, 0, r)
+        u = self.unit_value * other.unit_value % p**r
+        return PadicNumber._canonical(p, Valuation(self.v.value + other.v.value), u, r)
 
     def inv(self) -> "PadicNumber":
         if self.is_zero:
             raise ZeroInversionError("zero has no p-adic inverse")
         u = pow(self.unit_value, -1, self.p**self.r)
-        return PadicNumber(self.p, -self.v, u, self.r)
+        return PadicNumber._canonical(self.p, Valuation(-self.v.value), u, self.r)
 
     def sub(self, other: "PadicNumber") -> "PadicNumber":
         self._check_compatible(other)
@@ -566,8 +615,7 @@ def gauss_norm(f: RationalPolynomial, p: int) -> Fraction:
     require_prime(p)
     if f.is_zero:
         return Fraction(0)
-    e = _int_valuation(f.den, p) - _int_valuation(gcd(*f.nums), p)
-    return Fraction(p**e) if e >= 0 else Fraction(1, p**-e)
+    return _p_power(p, _int_valuation(f.den, p) - _int_valuation(gcd(*f.nums), p))
 
 
 @dataclass(frozen=True)

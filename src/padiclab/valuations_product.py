@@ -31,6 +31,7 @@ from .padic_core import (
     _MR_BASES,
     Valuation,
     _digits,
+    _p_power,
     _poly_add,
     _poly_divmod,
     _poly_eval,
@@ -196,7 +197,7 @@ def local_norms(a) -> list[tuple[Place, Fraction]]:
     # numerator and denominator are coprime: no prime appears in both
     signed = list(factor(a.numerator).factors)
     signed += [(p, -e) for p, e in factor(a.denominator).factors]
-    out = [(Place.finite(p), Fraction(1, p) ** e) for p, e in sorted(signed)]
+    out = [(Place.finite(p), _p_power(p, -e)) for p, e in sorted(signed)]
     out.append((Place.archimedean(), abs(a)))
     return out
 
@@ -458,8 +459,8 @@ def local_norms_ff(f) -> list[tuple[Place, Fraction]]:
     signed = list(factor_poly(f.num)[1].items())
     signed += [(pi, -e) for pi, e in factor_poly(f.den)[1].items()]
     signed.sort(key=lambda kv: (kv[0].degree, kv[0].coefficients[::-1]))
-    out = [(Place.finite_poly(pi), Fraction(p) ** (-pi.degree * e)) for pi, e in signed]
-    out.append((Place.degree_infinity(), Fraction(p) ** (f.num.degree - f.den.degree)))
+    out = [(Place.finite_poly(pi), _p_power(p, -pi.degree * e)) for pi, e in signed]
+    out.append((Place.degree_infinity(), _p_power(p, f.num.degree - f.den.degree)))
     return out
 
 

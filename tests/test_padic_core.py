@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import math
+import random
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from padiclab import (
     ZeroInversionError,
     check_seminorm_axioms,
     gauss_norm,
+    hensel_lift,
     is_prime,
     norm,
     nu,
@@ -40,9 +42,11 @@ from padiclab import (
     to_expansion_string,
 )
 from padiclab.cli import main
-from padiclab.padic_core import _digits, _poly_eval, require_prime
+from padiclab.padic_core import _MR_BASES, _MR_TIERS, _digits, _poly_eval, require_prime
 
 PRIMES = [2, 3, 5, 7, 11]
+# with the largest prime below the 2**32 primality gate
+WIDE_PRIMES = PRIMES + [4294967291]
 
 rationals = st.fractions(
     min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=10**4
@@ -105,6 +109,60 @@ def test_norm_frozen_values():
     assert norm(Fraction(-3, 4), ARCHIMEDEAN) == Fraction(3, 4)
     assert norm(0, 3) == 0
     assert norm(0, ARCHIMEDEAN) == 0
+
+
+def old_route_norm(q, p) -> Fraction:
+    """``(1/p) ** v_p(q)`` as a Fraction power, 0 for zero."""
+    q = Fraction(q)
+    return Fraction(0) if q == 0 else Fraction(1, p) ** brute_valuation(q, p)
+
+
+def seeded_rationals(seed: int, count: int) -> list[Fraction]:
+    """Zero, signed integers and signed fractions with prime powers on both sides."""
+    rng = random.Random(seed)
+    out = [Fraction(0), Fraction(1), Fraction(-1)]
+    for _ in range(count):
+        p = rng.choice(WIDE_PRIMES)
+        num = rng.randint(1, 10**9) * p ** rng.randint(0, 6) * rng.choice((1, -1))
+        den = rng.randint(1, 10**6) * p ** rng.randint(0, 6)
+        out.append(Fraction(num, den))
+    return out
+
+
+@pytest.mark.parametrize("p", WIDE_PRIMES)
+def test_norm_agrees_with_the_fraction_power_route(p):
+    for q in seeded_rationals(20261019 + p, 300):
+        got = norm(q, p)
+        assert got == old_route_norm(q, p) and type(got) is Fraction
+
+
+@pytest.mark.parametrize("p", WIDE_PRIMES)
+def test_gauss_norm_agrees_with_the_fraction_power_route(p):
+    rng = random.Random(p)
+    coeffs = seeded_rationals(p, 400)
+    for _ in range(100):
+        f = RationalPolynomial.of(*rng.sample(coeffs, rng.randint(0, 6)))
+        want = max((old_route_norm(c, p) for c in f.coefficients), default=Fraction(0))
+        assert gauss_norm(f, p) == want
+
+
+@given(q=rationals, p=prime_st, r=st.integers(1, 12))
+def test_norm_of_a_padic_number_is_read_off_its_valuation(q, p, r):
+    x = PadicNumber.from_rational(q, p, r)
+    assert norm(x, p) == norm(q, p)
+    assert norm(x, p) == (0 if x.is_zero else Fraction(1, p) ** int(x.v))
+
+
+def test_norm_of_a_padic_number_at_another_place():
+    x = PadicNumber.from_rational(Fraction(50, 3), 5, 4)
+    assert norm(x, 5) == Fraction(1, 25) and norm(x.inv(), 5) == 25
+    assert norm(PadicNumber.zero(5, 3), 5) == 0
+    with pytest.raises(MixedPrimesError):
+        norm(x, 7)
+    with pytest.raises(MixedPrimesError):
+        norm(PadicNumber.zero(5, 3), 3)
+    with pytest.raises(DomainError):
+        norm(x, ARCHIMEDEAN)
 
 
 @given(q=nonzero_rationals, p=prime_st)
@@ -296,6 +354,72 @@ def test_mixed_primes_rejected():
 def test_valuation_read_off_padic(q, p, r):
     x = PadicNumber.from_rational(q, p, r)
     assert x.v == nu(q, p)
+
+
+# ---------------------------------------------------------------------------
+# Canonical construction: every result is what the public constructor accepts
+# ---------------------------------------------------------------------------
+
+def assert_canonical(x):
+    # PadicNumber(...) validates the invariant that the results skip checking
+    assert x == PadicNumber(x.p, x.v, x.unit_value, x.r)
+    assert x.is_zero == x.v.is_infinite
+
+
+@st.composite
+def padic_operands(draw):
+    """Two p-adic numbers, the second often cancelling leading digits of the first."""
+    p = draw(st.sampled_from(WIDE_PRIMES))
+    r1, r2 = draw(st.integers(1, 60)), draw(st.integers(1, 60))
+    a = draw(rationals)
+    if draw(st.booleans()):
+        # b = -a + p**k * c agrees with -a in about k digits
+        k = draw(st.integers(0, 70))
+        b = -a + p**k * draw(rationals)
+    else:
+        b = draw(rationals)
+    x = PadicNumber.from_rational(a, p, r1)
+    y = PadicNumber.from_rational(b, p, r2) if draw(st.booleans()) else (
+        PadicNumber.from_integer(b.numerator, p, r2)
+    )
+    return x, y
+
+
+@settings(deadline=None)
+@given(xy=padic_operands(), cut=st.integers(1, 60))
+def test_every_result_is_canonical(xy, cut):
+    x, y = xy
+    results = [x, y, x.add(y), x.sub(y), y.sub(x), x.mul(y), x.neg(), x.add(x.neg())]
+    results += [z.inv() for z in (x, y, x.add(y)) if not z.is_zero]
+    results += [z.truncate(min(cut, z.r)) for z in (x, x.add(y))]
+    results += [PadicNumber.zero(x.p, cut)]
+    for z in results:
+        assert_canonical(z)
+    assert x.add(x.neg()).is_zero
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(-(10**30), 10**30),
+    p=st.sampled_from(WIDE_PRIMES),
+    k=st.integers(0, 59),
+    r=st.integers(1, 60),
+)
+def test_lifted_roots_are_canonical(n, p, k, r):
+    # x - n has the simple root n mod p; its lift is n mod p**(k+1), often divisible by p
+    r = min(r, k + 1)
+    z = hensel_lift((-n, 1), n % p, p, k).as_padic(r)
+    assert_canonical(z)
+    assert z.agrees_with(PadicNumber.from_integer(n, p, r))
+
+
+def test_cancelling_sum_strips_the_factors_of_p():
+    # 1/3 - (1/3 - 5**3) = 125: three digits cancel, so three are lost
+    a = Fraction(1, 3)
+    x, y = PadicNumber.from_rational(a, 5, 10), PadicNumber.from_rational(a - 125, 5, 10)
+    s = x.sub(y)
+    assert_canonical(s)
+    assert (int(s.v), s.unit_value, s.r) == (3, 1, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +638,64 @@ def test_is_prime_agrees_with_sieve_below_1e5():
     ]
 
 
-# strong pseudoprimes to bases 2..7 and to bases 2..31 respectively
-@pytest.mark.parametrize("n", [3215031751, 3825123056546413051])
+# the least strong pseudoprimes to the first 1, 2, ..., 9 prime bases (one
+# number for 7 and 8; the last also fools 2..31): each tier bound among them
+STRONG_PSEUDOPRIMES = [
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+]
+
+
+@pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES)
 def test_is_prime_rejects_strong_pseudoprimes(n):
     assert not is_prime(n)
+
+
+def strong_probable_prime(n: int, a: int) -> bool:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def twelve_base_is_prime(n: int) -> bool:
+    """The ungraded test: trial division, then every base 2..37."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    return all(strong_probable_prime(n, a) for a in _MR_BASES)
+
+
+def test_each_tier_bound_passes_the_bases_used_below_it():
+    # so a tier that also served n == bound would accept a composite
+    for bound, k in _MR_TIERS:
+        assert bound in STRONG_PSEUDOPRIMES
+        assert all(strong_probable_prime(bound, a) for a in _MR_BASES[:k])
+        assert not is_prime(bound)
+
+
+def test_graded_bases_agree_with_the_twelve_base_loop():
+    rng = random.Random(20261019)
+    sample = [rng.randrange(2, 10 ** rng.randint(3, 24)) | 1 for _ in range(3000)]
+    sample += [b + d for b, _ in _MR_TIERS for d in range(-40, 41)]
+    sample += [4294967291, 2**61 - 1, 2**89 - 1, 999_999_937]
+    assert [is_prime(n) for n in sample] == [twelve_base_is_prime(n) for n in sample]
+    assert sum(map(is_prime, sample)) > 100
 
 
 @pytest.mark.parametrize("n", [4294967291, 2**61 - 1, 999_999_937])

@@ -189,6 +189,28 @@ def test_local_norms_agree_with_core_norm(num, den):
             assert value != 1  # only non-trivial places are listed
 
 
+def valuation_by_division(n: int, p: int) -> int:
+    v = 0
+    while n % p == 0:
+        n, v = n // p, v + 1
+    return v
+
+
+def test_local_norms_agree_with_the_fraction_power_route():
+    # (1/p) ** v_p(a) as a Fraction power, signed rationals, with norms above and below 1
+    # (the factoring limit 10**18 caps the power of the largest prime at 1)
+    rng = random.Random(20261019)
+    for _ in range(500):
+        (p, i), (q, j) = rng.sample([(2, 5), (3, 5), (5, 5), (7, 5), (101, 5), (4294967291, 1)], 2)
+        num = rng.randint(1, 10**6) * p ** rng.randint(0, i) * rng.choice((1, -1))
+        a = Fraction(num, rng.randint(1, 10**6) * q ** rng.randint(0, j))
+        for place, value in local_norms(a):
+            if place.kind == "finite":
+                p = place.prime
+                v = valuation_by_division(a.numerator, p) - valuation_by_division(a.denominator, p)
+                assert value == Fraction(1, p) ** v and type(value) is Fraction
+
+
 @given(
     num=st.integers(-(10**9), 10**9).filter(lambda n: n != 0),
     den=st.integers(1, 10**9),
@@ -487,6 +509,23 @@ def test_ff_product_formula_random(p, data):
     num = data.draw(fq_poly(p, 8).filter(lambda f: f.degree >= 0))
     den = data.draw(fq_poly(p, 8).filter(lambda f: f.degree >= 0))
     assert product_formula_check_ff(RationalFunction.of(num, den)) == 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_ff_local_norms_agree_with_the_fraction_power_route(p):
+    # p ** (-deg * v) and p ** (-v) at the degree place, from poly_valuation
+    rng = random.Random(p)
+
+    def draw():
+        deg = rng.randint(0, 8)
+        return FqPolynomial.of(p, *[rng.randrange(p) for _ in range(deg)], rng.randint(1, p - 1))
+
+    for _ in range(60):
+        f = RationalFunction.of(draw(), draw())
+        for place, value in local_norms_ff(f):
+            e = int(poly_valuation(f, place))
+            degree = 1 if place.kind == "degree_infinity" else place.poly.degree
+            assert value == Fraction(p) ** (-degree * e) and type(value) is Fraction
 
 
 def test_place_rejects_constant_reducible_and_non_monic_polynomials():
