@@ -4,23 +4,35 @@ A root x0 of f mod p with f'(x0) != 0 mod p lifts uniquely to roots x_i of f
 mod p**(i+1) with the coherence condition ``x_i == x_{i-1} mod p**i``.  Newton
 iteration doubles the precision, ``x <- x - f(x)/f'(x) mod p**(2e)``; it is the
 route ``hensel_lift``, the CLI and ``sqrt_padic`` take.  The linear digit scheme
-(``method="digit"``) is the reference the tests compare it with: step i adds the
-digit ``b_i = -(f(x_{i-1}) / p**i) * f'(x0)**-1 mod p``, the inverse computed
-once, as f'(x_i) stays congruent to f'(x0) for a simple root.
+(``method="digit"``) is the reference the tests compare it with.  It carries
+the Taylor coefficients of ``g_i(y) = f(x_{i-1} + p**i*y) / p**i`` mod
+p**(k+1-i): step i reads the digit ``b_i = -g_i(0) * f'(x0)**-1 mod p``, the
+inverse computed once, as g_i'(0) = f'(x_{i-1}) stays congruent to f'(x0) for
+a simple root; then ``g_{i+1}(y) = g_i(b_i + p*y) / p``, a Taylor shift by
+the digit.  Coefficient j of g_i carries a factor p**(i*(j-1)), so it is
+dropped once that factor reaches p**(k+1-i); past step k/2 only g(0) and
+g'(0) remain.  A lift of high degree against k first lifts about sqrt(k)
+digits the same way, then expands f at that root, where fewer coefficients
+can reach a digit.
 
 A lift returns only the root mod p**(k+1); ``LiftTrace`` reads the digits
 b_i and the residues x_i = root mod p**(i+1) off it.
 
 Polynomials are given as integer coefficient sequences, index i = the
-coefficient of x**i (a ``RationalPolynomial`` with integer entries is also
-accepted).  Evaluation mod p**k, the derivative and the base-p digits of a
-residue come from the shared helpers in ``padic_core``.
+coefficient of x**i (a ``RationalPolynomial`` with integer entries, and a
+``Fraction`` equal to an integer, are also accepted).  Evaluation mod p**k,
+the derivative and the base-p digits of a residue come from the shared
+helpers in ``padic_core``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
+from math import isqrt
+from operator import index
 
 from .errors import DomainError, NotARootError, ResourceLimitError, SingularRootError
 from .padic_core import (
@@ -35,6 +47,16 @@ from .padic_core import (
 #: roots_mod_p tries every residue mod p, so it refuses a larger p.
 ROOT_SCAN_LIMIT = 2**20
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
+_LIFT_RANGE = "a lift needs k >= 0 and a root in [0, p**(k+1))"
+
+
+def _int_coeff(c) -> int:
+    try:
+        return index(c)  # an int, never a float or a fraction cut to one
+    except TypeError:
+        if isinstance(c, Fraction) and c.denominator == 1:
+            return c.numerator
+        raise DomainError("lifting needs integer coefficients") from None
 
 
 def _int_coeffs(f) -> tuple[int, ...]:
@@ -42,7 +64,7 @@ def _int_coeffs(f) -> tuple[int, ...]:
         if f.den != 1:
             raise DomainError("lifting needs integer coefficients")
         return f.nums  # canonical: no trailing zero
-    coeffs = tuple(int(c) for c in f)
+    coeffs = tuple(map(_int_coeff, f))
     while coeffs and coeffs[-1] == 0:
         coeffs = coeffs[:-1]
     return coeffs
@@ -60,7 +82,7 @@ class LiftTrace:
     def __post_init__(self):
         require_prime(self.p)
         if not (self.k >= 0 and 0 <= self.root < self.p ** (self.k + 1)):
-            raise DomainError("a lift needs k >= 0 and a root in [0, p**(k+1))")
+            raise DomainError(_LIFT_RANGE)
 
     @property
     def digits(self) -> tuple[int, ...]:
@@ -108,6 +130,8 @@ def hensel_lift(f, x0: int, p: int, k: int, method: str = "newton") -> LiftTrace
     ``"digit"`` reference scheme; both return the same root.
     """
     require_prime(p)
+    if k < 0:
+        raise DomainError(_LIFT_RANGE)
     coeffs = _int_coeffs(f)
     x0 %= p
     if _poly_eval(coeffs, x0, p) != 0:
@@ -128,12 +152,64 @@ def hensel_lift(f, x0: int, p: int, k: int, method: str = "newton") -> LiftTrace
 
 
 def _lift_linear(coeffs, x0: int, p: int, k: int, inv_d0: int) -> int:
-    x, power = x0, p  # power = p**i at step i
-    for _ in range(k):
-        fx = _poly_eval(coeffs, x, power * p)
-        x += (-(fx // power) * inv_d0) % p * power
+    # shifting g by a digit b < p costs int * small-int steps, not Horner's k-digit products
+    if k == 0:
+        return x0
+    s = isqrt(k)
+    if s > 1 and min(len(coeffs) - 1, k) > k // s + s:
+        # high degree: f expanded at x_{s-1} needs only k//s + 1 coefficients,
+        # and the lift to x_{s-1} costs about s more passes at low precision
+        x = _lift_linear(coeffs, x0, p, s - 1, inv_d0)
+    else:
+        x, s = x0, 1
+    m, ps = p ** (k + 1 - s), p**s
+    t = _taylor_coeffs(coeffs, x, min(len(coeffs) - 1, k // s) + 1, p ** (k + 1))
+    g = [t[0] // ps % m] + [c * ps ** (j - 1) % m for j, c in enumerate(t[1:], 1)]
+    pp = [p**j for j in range(len(g))]
+    neg_inv, power, i = -inv_d0 % p, ps, s  # g = g_i mod m = p**(k+1-i), power = p**i
+    while len(g) > 2:
+        b = g[0] % p * neg_inv % p
+        x += b * power
         power *= p
+        i += 1
+        if b:
+            for j in _shift_order(len(g) - 1):
+                g[j] += b * g[j + 1]
+        m //= p
+        del g[k // i + 1:]  # i*(j-1) >= k+1-i: coefficient j is 0 mod m
+        g[0] = g[0] // p % m
+        for j in range(1, len(g)):
+            g[j] = g[j] * pp[j - 1] % m
+    # g_i(y) = g0 + g1*y from here, and g_{i+1}(0) = (g0 + b_i*g1) / p
+    g0, g1 = g
+    for _ in range(i, k + 1):
+        b = g0 % p * neg_inv % p
+        x += b * power
+        power *= p
+        g0 = (g0 + b * g1) // p
     return x
+
+
+def _taylor_coeffs(coeffs, x: int, n: int, m: int) -> list[int]:
+    """The first n Taylor coefficients of f at x, f(x + y) = sum t_j y**j, mod m.
+
+    Pass j of the synthetic division by y - x leaves t_j as its remainder;
+    an accumulator is reduced only once it outgrows m by 64 bits.
+    """
+    lim = m << 64
+    q = [c % m for c in reversed(coeffs)]
+    out = []
+    for _ in range(n):
+        acc = 0
+        q = [acc := (acc if acc < lim else acc % m) * x + c for c in q]
+        out.append(q.pop() % m)
+    return out
+
+
+@lru_cache(maxsize=64)
+def _shift_order(d: int) -> tuple[int, ...]:
+    # g(y) -> g(y + b) in place for degree d: g[j] += b * g[j + 1] in this order
+    return tuple(j for r in range(d) for j in range(d - 1, r - 1, -1))
 
 
 def _lift_newton(coeffs, deriv, x0: int, p: int, k: int) -> int:

@@ -196,7 +196,8 @@ def nu(a, p: int | None = None) -> Valuation:
     if p is None:
         raise DomainError("a prime is required to take the valuation of a rational")
     require_prime(p)
-    a = Fraction(a)
+    if not isinstance(a, Fraction):  # as in norm: no copy of a Fraction
+        a = Fraction(a)
     if a == 0:
         return INFINITY
     return Valuation(_int_valuation(a.numerator, p) - _int_valuation(a.denominator, p))
@@ -331,6 +332,8 @@ class PadicNumber:
 
     def __post_init__(self):
         _require_precision(self.p, self.r)
+        if not isinstance(self.unit_value, int):
+            raise DomainError(f"unit must be an int, got {self.unit_value!r}")
         if not 0 <= self.unit_value < self.p**self.r:
             raise DomainError(f"unit must lie in [0, {self.p}**{self.r})")
         if self.v.is_infinite:
@@ -358,6 +361,8 @@ class PadicNumber:
     @classmethod
     def from_integer(cls, n: int, p: int, r: int) -> "PadicNumber":
         _require_precision(p, r)
+        if not isinstance(n, int):
+            raise DomainError(f"an integer is expected, got {n!r}")
         if n == 0:
             return cls._canonical(p, INFINITY, 0, r)
         v = _int_valuation(n, p)

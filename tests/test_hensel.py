@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padiclab import (
@@ -27,7 +28,7 @@ from padiclab import (
     sqrt_padic,
     to_expansion_string,
 )
-from padiclab.hensel import ROOT_SCAN_LIMIT
+from padiclab.hensel import ROOT_SCAN_LIMIT, _taylor_coeffs
 
 X2_MINUS_2 = (-2, 0, 1)  # coefficients ascending: f(x) = x^2 - 2
 
@@ -322,3 +323,122 @@ def test_root_scan_is_bounded():
         roots_mod_p(X2_MINUS_2, 1048583)
     with pytest.raises(ResourceLimitError, match="root scan"):
         sqrt_padic(2, 4294967291, 2)
+
+
+# ---------------------------------------------------------------------------
+# The digit lift's Taylor-shift kernel against a Horner oracle
+# ---------------------------------------------------------------------------
+
+
+def poly_eval_mod(coeffs, x, m):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def horner_digit_lift(coeffs, x0, p, k):
+    """The digit lift evaluated by Horner at each x_{i-1}: digit i solves f(x_{i-1} + p**i*b) == 0 mod p**(i+1)."""
+    inv_d0 = pow(poly_eval([i * c for i, c in enumerate(coeffs)][1:], x0), -1, p)
+    x, power = x0 % p, p
+    for _ in range(k):
+        fx = poly_eval_mod(coeffs, x, power * p)
+        x += (-(fx // power) * inv_d0) % p * power
+        power *= p
+    return x
+
+
+def poly_times_linear(h, r):
+    # (x - r) * h(x), ascending coefficients
+    return tuple(a - r * b for a, b in zip((0, *h), (*h, 0)))
+
+
+@st.composite
+def lifts_with_an_integer_root(draw):
+    """(f, r, p, k): f = (x - r) * h of degree 1..12 with h(r) != 0 mod p, so r is a simple root."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 101, 4294967291]))
+    k = draw(st.integers(0, 12) | st.integers(0, 300))
+    digits = draw(st.lists(st.sampled_from([0, 1, p - 1]) | st.integers(0, p - 1), min_size=1, max_size=12))
+    r = draw(st.sampled_from([1, -1])) * poly_eval(digits, p)
+    h = draw(st.lists(st.integers(-30, 30), max_size=11))
+    h.append(draw(st.integers(1, 9)))
+    if poly_eval(h, r) % p == 0:
+        h[0] += 1
+    return poly_times_linear(h, r), r, p, k
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=lifts_with_an_integer_root())
+@example(case=(poly_times_linear((2,) + (1,) * 11, 3 + 5 * 7**3), 3 + 5 * 7**3, 7, 4))  # digits 3, 0, 0, 5; k < degree
+@example(case=(poly_times_linear((1,) + (0,) * 10 + (1,), 6), 6, 2, 30))  # lifts ~sqrt(k) digits first
+@example(case=(poly_times_linear((-7, 1, 1, 1), 4294967290), 4294967290, 4294967291, 300))
+def test_digit_lift_equals_the_horner_oracle_and_newton(case):
+    f, r, p, k = case
+    digit = hensel_lift(f, r, p, k, method="digit")
+    newton = hensel_lift(f, r, p, k, method="newton")
+    assert digit == newton
+    assert digit.root == horner_digit_lift(f, r, p, k) == r % p ** (k + 1)
+
+
+@pytest.mark.parametrize(
+    "degree, k",
+    [(2000, 10), (2000, 200), (10000, 20)],
+)
+@pytest.mark.parametrize("x0", [0, 1])
+def test_high_degree_digit_lift_equals_the_horner_oracle(degree, k, x0):
+    f = (2, 1) + (0,) * (degree - 2) + (1,)  # x**degree + x + 2: f(0), f(1) even, f' odd there
+    trace = hensel_lift(f, x0, 2, k, method="digit")
+    assert trace.root == horner_digit_lift(f, x0, 2, k)
+
+
+def test_deep_digit_lift_equals_newton():
+    f = (3, 3, 0, -5, 1)
+    trace = hensel_lift(f, 3, 7, 3000, method="digit")
+    assert trace == hensel_lift(f, 3, 7, 3000, method="newton")
+    assert poly_eval(f, trace.root) % 7**3001 == 0
+
+
+@pytest.mark.parametrize("x", [0, 1, 5, 2**40 + 3])
+def test_taylor_coefficients_are_the_binomial_sums(x):
+    f = (7, -3, 0, 11, 2, -1, 4)
+    m = 3**20
+    expected = [
+        sum(comb(n, j) * c * x ** (n - j) for n, c in enumerate(f) if n >= j) % m
+        for j in range(len(f))
+    ]
+    assert _taylor_coeffs(f, x, len(f), m) == expected
+    assert _taylor_coeffs(f, x, 3, m) == expected[:3]
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        [Fraction(-3, 2), 0, 1],  # int() would cut it to x**2 - 1, root 1
+        [-2.5, 0, 1],  # int() would cut it to x**2 - 2
+        [-2.0, 0, 1],
+        ["-2", 0, 1],
+    ],
+)
+def test_non_integral_coefficients_are_refused(f):
+    for method in ("digit", "newton"):
+        with pytest.raises(DomainError, match="lifting needs integer coefficients"):
+            hensel_lift(f, 1, 7, 3, method)
+    with pytest.raises(DomainError, match="lifting needs integer coefficients"):
+        roots_mod_p(f, 7)
+
+
+def test_integral_fractions_are_integer_coefficients():
+    f = [Fraction(-4, 2), Fraction(0), True]
+    assert roots_mod_p(f, 7) == [3, 4]
+    assert hensel_lift(f, 3, 7, 5, "digit") == hensel_lift(X2_MINUS_2, 3, 7, 5, "digit")
+
+
+def test_negative_k_is_refused_before_lifting(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a lift with k < 0 must not start")
+
+    monkeypatch.setattr("padiclab.hensel._lift_linear", unreachable)
+    monkeypatch.setattr("padiclab.hensel._lift_newton", unreachable)
+    for method in ("digit", "newton"):
+        with pytest.raises(DomainError, match="k >= 0"):
+            hensel_lift(X2_MINUS_2, 3, 7, -1, method=method)

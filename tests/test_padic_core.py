@@ -262,6 +262,29 @@ def test_constructor_rejects_bad_unit():
         PadicNumber(6, Valuation.finite(0), 1, 1)
 
 
+@pytest.mark.parametrize("unit", [2.0, Fraction(2), "2"])
+def test_constructor_rejects_a_unit_that_is_not_an_int(unit):
+    with pytest.raises(DomainError, match="unit must be an int"):
+        PadicNumber(3, Valuation.finite(1), unit, 2)
+
+
+@pytest.mark.parametrize("n", [6.0, 0.0, Fraction(6)])
+def test_from_integer_rejects_a_non_int(n):
+    with pytest.raises(DomainError, match="integer is expected"):
+        PadicNumber.from_integer(n, 3, 2)
+
+
+def test_nu_takes_a_fraction_as_it_is(monkeypatch):
+    q = Fraction(63, 550)
+
+    def no_copy(*args, **kwargs):
+        raise AssertionError("nu copied a Fraction argument")
+
+    monkeypatch.setattr(Fraction, "__new__", no_copy)
+    assert nu(q, 5) == Valuation.finite(-2)
+    assert nu(q, 7) == Valuation.finite(1)
+
+
 # ---------------------------------------------------------------------------
 # Arithmetic — brute-force residue oracle
 # ---------------------------------------------------------------------------
