@@ -15,8 +15,9 @@ g'(0) remain.  A lift of high degree against k first lifts about sqrt(k)
 digits the same way, then expands f at that root, where fewer coefficients
 can reach a digit.
 
-A lift returns only the root mod p**(k+1); ``LiftTrace`` reads the digits
-b_i and the residues x_i = root mod p**(i+1) off it.
+A lift returns only the root mod p**(k+1); ``LiftTrace`` reads the digits b_i
+and the residues x_i = root mod p**(i+1) off it.  Work is bounded before it
+starts: a lift of either method by ``_check_lift_work``, a root scan by p * terms.
 
 Polynomials are given as integer coefficient sequences, index i = the
 coefficient of x**i (a ``RationalPolynomial`` with integer entries, and a
@@ -34,7 +35,7 @@ from itertools import accumulate
 from math import isqrt
 from operator import index
 
-from .errors import DomainError, NotARootError, ResourceLimitError, SingularRootError
+from .errors import DomainError, NotARootError, ResourceLimitError, SingularRootError, quoted
 from .padic_core import (
     PadicNumber,
     RationalPolynomial,
@@ -44,19 +45,21 @@ from .padic_core import (
     require_prime,
 )
 
-#: roots_mod_p tries every residue mod p, so it refuses a larger p.
-ROOT_SCAN_LIMIT = 2**20
+#: roots_mod_p runs Horner on every residue mod p: it refuses p * terms steps past this.
+ROOT_SCAN_LIMIT = 3 * 2**20
+#: Work units a Newton lift may take (``_check_lift_work``), ~8 ps each on a 2-vCPU host.
+_LIFT_WORK = 10**11
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 _LIFT_RANGE = "a lift needs k >= 0 and a root in [0, p**(k+1))"
 
 
-def _int_coeff(c) -> int:
+def _integer(c, what: str = "integer coefficients") -> int:
     try:
         return index(c)  # an int, never a float or a fraction cut to one
     except TypeError:
         if isinstance(c, Fraction) and c.denominator == 1:
             return c.numerator
-        raise DomainError("lifting needs integer coefficients") from None
+        raise DomainError(f"lifting needs {what}") from None
 
 
 def _int_coeffs(f) -> tuple[int, ...]:
@@ -64,7 +67,7 @@ def _int_coeffs(f) -> tuple[int, ...]:
         if f.den != 1:
             raise DomainError("lifting needs integer coefficients")
         return f.nums  # canonical: no trailing zero
-    coeffs = tuple(map(_int_coeff, f))
+    coeffs = tuple(map(_integer, f))
     while coeffs and coeffs[-1] == 0:
         coeffs = coeffs[:-1]
     return coeffs
@@ -115,9 +118,9 @@ class LiftTrace:
 def roots_mod_p(f, p: int) -> list[int]:
     """All residues x in [0, p) with f(x) == 0 mod p, by exhaustion."""
     require_prime(p)
-    if p > ROOT_SCAN_LIMIT:
-        raise ResourceLimitError(f"the root scan is limited to p <= {ROOT_SCAN_LIMIT}, got {p}")
     coeffs = _int_coeffs(f)
+    if p * len(coeffs) > ROOT_SCAN_LIMIT:
+        raise ResourceLimitError(f"root scan: p * terms > {ROOT_SCAN_LIMIT}, p = {quoted(str(p))}")
     if all(c % p == 0 for c in coeffs):
         raise DomainError(f"f vanishes identically mod {p}; every residue is a root")
     return [x for x in range(p) if _poly_eval(coeffs, x, p) == 0]
@@ -130,9 +133,11 @@ def hensel_lift(f, x0: int, p: int, k: int, method: str = "newton") -> LiftTrace
     ``"digit"`` reference scheme; both return the same root.
     """
     require_prime(p)
+    k, x0 = _integer(k, "an integer k"), _integer(x0, "an integer x0")
     if k < 0:
         raise DomainError(_LIFT_RANGE)
     coeffs = _int_coeffs(f)
+    _check_lift_work(p, k, len(coeffs))
     x0 %= p
     if _poly_eval(coeffs, x0, p) != 0:
         raise NotARootError(f"{x0} is not a root of f mod {p}")
@@ -149,6 +154,22 @@ def hensel_lift(f, x0: int, p: int, k: int, method: str = "newton") -> LiftTrace
     else:
         raise DomainError(f"unknown lifting method {method!r}")
     return LiftTrace(p, coeffs, k, root)
+
+
+def _check_lift_work(p: int, k: int, terms: int) -> None:
+    """Refuse, before any lift, a Newton lift of over _LIFT_WORK units.
+
+    A doubling step to p**e runs Horner on f and f' (``terms`` products of
+    L = bitlen(p**e) bits, quadratic in L) and inverts f'; it costs about a
+    quarter of the next, so all cost under twice the last one, at e = k + 1.
+    """
+    bits = (k + 1) * (p.bit_length() - 1) + 1  # <= L: a huge k is refused before p**(k+1)
+    if (terms + 16) * (bits + 256) ** 2 <= _LIFT_WORK:
+        bits = (p ** (k + 1)).bit_length()
+    if (terms + 16) * (bits + 256) ** 2 > _LIFT_WORK:
+        raise ResourceLimitError(
+            f"a Newton lift of {terms} terms to p**{k + 1} exceeds {_LIFT_WORK:.0e} work units"
+        )
 
 
 def _lift_linear(coeffs, x0: int, p: int, k: int, inv_d0: int) -> int:
@@ -233,9 +254,11 @@ def sqrt_padic(a: int, p: int, r: int) -> list[PadicNumber]:
     require_prime(p)
     if p == 2:
         raise DomainError("square-root lifting needs an odd prime")
+    a, r = _integer(a, "an integer a"), _integer(r, "an integer r")
     if r < 1:
         raise DomainError("precision must be at least one digit")
     if a % p == 0:
         raise DomainError(f"gcd(a, {p}) must be 1")
     f = (-a, 0, 1)  # x**2 - a
+    _check_lift_work(p, r - 1, len(f))
     return [hensel_lift(f, x, p, r - 1).as_padic(r) for x in roots_mod_p(f, p)]

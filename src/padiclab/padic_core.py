@@ -21,11 +21,12 @@ unit is 0), so no result re-runs those checks.
 Valuations and norms of exact rationals are computed exactly: a norm is the
 ``Fraction`` p**e read off integer exponents, never a float.
 
-This module is also the package's exact-arithmetic core.  ``is_prime`` is
-its only primality test; ``_digits`` and ``_poly_eval`` are its only base-p
-digit encoder and decoder; and the ``_poly_*`` coefficient-tuple helpers
-(add, mul, division over F_p, Horner evaluation, derivative, rendering)
-serve ``RationalPolynomial`` here (int numerators over one denominator),
+This module is also the package's exact-arithmetic core.  ``is_prime`` is its
+only primality test, and ``require_prime`` admits p only where that test is a
+proof; ``_digits`` and ``_poly_eval`` are its only base-p digit encoder and
+decoder; and the ``_poly_*`` coefficient-tuple helpers (add, mul, division
+over F_p, Horner evaluation, derivative, rendering) serve
+``RationalPolynomial`` here (int numerators over one denominator),
 ``FqPolynomial`` and its sieve in ``valuations_product``, and ``hensel``.
 """
 
@@ -45,6 +46,7 @@ from .errors import (
     NotPrimeError,
     ResourceLimitError,
     ZeroInversionError,
+    quoted,
 )
 
 class _Archimedean:
@@ -65,10 +67,11 @@ class _Archimedean:
 ARCHIMEDEAN = _Archimedean()
 
 
-# Miller-Rabin with the first twelve primes as bases has no strong
-# pseudoprime below 318665857834031151167461 (~3.18e23; Sorenson & Webster,
-# "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
+# Miller-Rabin with the first twelve primes as bases has no strong pseudoprime
+# below PROVEN_PRIME_BOUND, itself one (Sorenson & Webster, "Strong pseudoprimes
+# to twelve prime bases", Math. Comp. 86, 2017); ``require_prime`` stops there.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PROVEN_PRIME_BOUND = 318_665_857_834_031_151_167_461
 # (bound, k): below bound the first k bases admit no strong pseudoprime; each
 # bound is the least strong pseudoprime to those k bases (Jaeschke, "On
 # strong pseudoprimes to several bases", Math. Comp. 61, 1993; the nine-base
@@ -83,12 +86,11 @@ _MR_TIERS = (
 
 @lru_cache(maxsize=4096)
 def is_prime(p: int) -> bool:
-    """Miller-Rabin on bases 2..37: exact for p < 318665857834031151167461.
+    """Miller-Rabin on bases 2..37: a proof for p < ``PROVEN_PRIME_BOUND`` (~3.18e23).
 
-    That bound (~3.18e23) is far past ``valuations_product.FACTOR_LIMIT``;
-    above it a True answer means "strong probable prime to twelve bases".
-    Below the bounds of ``_MR_TIERS`` a proven-enough prefix of the bases
-    is tested.
+    That bound is far past ``valuations_product.FACTOR_LIMIT``; from it on a
+    True answer means "strong probable prime to twelve bases".  Below the
+    bounds of ``_MR_TIERS`` a proven-enough prefix of the bases is tested.
     """
     if not isinstance(p, int):
         raise NotPrimeError(f"prime expected, got {p!r}")
@@ -116,9 +118,9 @@ def is_prime(p: int) -> bool:
 
 
 def require_prime(p: int) -> int:
-    """p itself, if it is a prime below the desk-scale gate 2**32."""
-    if isinstance(p, int) and p >= 1 << 32:
-        raise ResourceLimitError(f"primality gate is limited to p < 2**32, got {p}")
+    """p itself, if it is a prime below ``PROVEN_PRIME_BOUND``, where ``is_prime`` is a proof."""
+    if isinstance(p, int) and p >= PROVEN_PRIME_BOUND:
+        raise ResourceLimitError(f"p = {quoted(str(p))} is past the primality proof bound")
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     return p

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, NotPrimeError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError
 from .padic_core import (
     _MR_BASES,
     Valuation,
@@ -89,8 +89,7 @@ class PrimeFactorization:
         for p, e in self.factors:
             if e <= 0:
                 raise DomainError(f"exponent of {p} must be positive")
-            if not is_prime(p):
-                raise DomainError(f"factor {p} is not prime")
+            require_prime(p)
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.factors)
@@ -152,9 +151,7 @@ class Place:
         if self.kind not in ("finite", "archimedean", "finite_poly", "degree_infinity"):
             raise DomainError(f"unknown place kind {self.kind!r}")
         if self.kind == "finite":
-            # factor() can emit primes past require_prime's desk-scale gate
-            if not isinstance(self.prime, int) or not is_prime(self.prime):
-                raise NotPrimeError(f"{self.prime} is not prime")
+            require_prime(self.prime)
         if self.kind == "finite_poly":
             # a monic constant factors as {}, a reducible g as anything but {g: 1}
             if not (self.poly.is_monic and _trial_divide(self.poly) == {self.poly: 1}):

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
-from padiclab import ResourceLimitError, cli, valuations_product
+from padiclab import ResourceLimitError, cli, hensel, valuations_product
 from padiclab.cli import build_parser, main, parse_polynomial
 from padiclab.hensel import hensel_lift
 
@@ -628,6 +628,48 @@ def test_oversized_sqrt_hensel_and_code_refused_fast(argv, json_mode):
     assert elapsed < 2.0
 
 
+# every command that takes a prime: the largest prime below the primality
+# gate, and the gate itself (a strong pseudoprime to all twelve bases)
+PRIME_COMMANDS = [
+    ["valuation", "3", "--p", "{p}"],
+    ["norm", "3", "--p", "{p}"],
+    ["expand", "1/3", "--p", "{p}", "--r", "182"],
+    ["code", "encode", "2/3", "--p", "{p}", "--r", "8"],
+    ["code", "decode", "5", "--p", "{p}", "--r", "180"],
+    ["hensel", "--poly", "x^2-1", "--p", "{p}", "--x0", "1", "--k", "181"],
+    ["sqrt", "2", "--p", "{p}"],
+    ["product-formula", "x+1", "--function-field", "{p}"],
+    ["product-formula", "x^2+1", "--function-field", "{p}"],
+    ["seminorm-check", "--p", "{p}", "--samples", "5"],
+    ["lattice", "check", "--subspace", "{p}", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", PRIME_COMMANDS, ids=lambda argv: " ".join(argv[:2]))
+def test_primes_up_to_the_proof_bound_reach_each_command(argv):
+    below = [a.format(p=318665857834031151167441) for a in argv]
+    code, out, err = run_cli(*below)
+    assert code in (0, 3), err
+    assert "primality proof bound" not in err  # exit 3 comes from the command's own guard
+    code, out, err = run_cli(*[a.format(p=318665857834031151167461) for a in argv])
+    assert (code, out) == (3, "")
+    assert "primality proof bound" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    PRIME_COMMANDS[:8]
+    + [["seminorm-check", "--p", "{p}"], ["lattice", "check", "--subspace", "{p}", "2"]],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_a_huge_prime_is_quoted_not_echoed(argv):
+    # README: an error message quotes at most the first 40 characters of an input
+    for mode in ([], ["--json"]):
+        code, out, err = run_cli(*[a.format(p="1" * 4000) for a in argv], *mode)
+        assert (code, out) == (3, "")
+        assert "... (4000 characters)" in err and len(err) < 300
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -967,7 +1009,8 @@ def test_hensel_lift_work_refused_before_any_lift(monkeypatch, json_mode):
     def unreachable(*args, **kwargs):
         raise AssertionError("the work bound must refuse before any lift")
 
-    monkeypatch.setattr("padiclab.cli.hensel_lift", unreachable)
+    for name in ("_lift_newton", "_lift_linear", "_poly_eval"):
+        monkeypatch.setattr(f"padiclab.hensel.{name}", unreachable)
     argv = ["hensel", "--poly", "x^10000+x+5", "--p", "7", "--x0", "1", "--k", "2662"]
     t0 = time.perf_counter()
     code, out, err = run_cli(*argv, *(["--json"] if json_mode else []))
@@ -1004,16 +1047,16 @@ def _lift_work(p: int, k: int) -> int:
     [(2, 4461), (7, 400), (101, 100), (4294967291, 20), (7, 2662), (101, 1300), (4294967291, 440)],
 )
 def test_hensel_work_bound_admits_up_to_its_constant(p, k):
-    terms = cli._HENSEL_WORK // _lift_work(p, k) - 16
-    cli._check_hensel_work(p, k, terms)
+    terms = hensel._LIFT_WORK // _lift_work(p, k) - 16
+    hensel._check_lift_work(p, k, terms)
     with pytest.raises(ResourceLimitError, match="work units"):
-        cli._check_hensel_work(p, k, terms + 1)
+        hensel._check_lift_work(p, k, terms + 1)
 
 
 def test_hensel_work_bound_keeps_quadratics_at_the_output_bound():
     # the largest k the output bound admits still lifts a quadratic
     for p, k in [(2, 4461), (3, 3543), (7, 2662)]:
-        cli._check_hensel_work(p, k, 3)
+        hensel._check_lift_work(p, k, 3)
 
 
 @pytest.mark.parametrize("p, k", [(2, 4461), (3, 3543), (7, 2662)])

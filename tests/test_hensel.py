@@ -317,10 +317,13 @@ def test_sqrt_lifts_by_newton(monkeypatch):
 
 
 def test_root_scan_is_bounded():
-    assert ROOT_SCAN_LIMIT == 2**20
-    # 1048583 is the least prime above 2**20
+    # p * terms Horner steps: a quadratic keeps sqrt's boundary at p <= 2**20
+    assert ROOT_SCAN_LIMIT == 3 * 2**20
+    # 1048583 is the least prime above 2**20, and 1048573 the largest below it
     with pytest.raises(ResourceLimitError, match="root scan"):
         roots_mod_p(X2_MINUS_2, 1048583)
+    with pytest.raises(ResourceLimitError, match="root scan"):
+        roots_mod_p((-2, 0, 0, 0, 1), 1048573)
     with pytest.raises(ResourceLimitError, match="root scan"):
         sqrt_padic(2, 4294967291, 2)
 

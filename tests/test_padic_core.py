@@ -42,10 +42,17 @@ from padiclab import (
     to_expansion_string,
 )
 from padiclab.cli import main
-from padiclab.padic_core import _MR_BASES, _MR_TIERS, _digits, _poly_eval, require_prime
+from padiclab.padic_core import (
+    _MR_BASES,
+    _MR_TIERS,
+    PROVEN_PRIME_BOUND,
+    _digits,
+    _poly_eval,
+    require_prime,
+)
 
 PRIMES = [2, 3, 5, 7, 11]
-# with the largest prime below the 2**32 primality gate
+# with the largest prime below 2**32
 WIDE_PRIMES = PRIMES + [4294967291]
 
 rationals = st.fractions(
@@ -726,17 +733,29 @@ def test_is_prime_accepts_large_primes(n):
     assert is_prime(n)
 
 
-# the smallest prime above 2**32, and the composite Fermat number F5
-@pytest.mark.parametrize("n", [4294967311, 2**32 + 1])
-def test_require_prime_gate_refuses_at_2_32(n):
-    with pytest.raises(ResourceLimitError):
-        require_prime(n)
+# the smallest prime above 2**32 passes, and the composite Fermat number F5
+# fails the primality test, not the gate
+def test_require_prime_admits_past_2_32():
+    assert require_prime(4294967311) == 4294967311
+    with pytest.raises(NotPrimeError):
+        require_prime(2**32 + 1)
+
+
+# the largest prime below the gate passes; the gate is the least strong
+# pseudoprime to all twelve bases, which is_prime itself accepts
+def test_require_prime_gate_refuses_at_the_proof_bound():
+    assert PROVEN_PRIME_BOUND == 318665857834031151167461 == 399165290221 * 798330580441
+    assert require_prime(318665857834031151167441) == 318665857834031151167441
+    assert is_prime(PROVEN_PRIME_BOUND)
+    for n in (PROVEN_PRIME_BOUND, PROVEN_PRIME_BOUND + 2, 2**127 - 1):
+        with pytest.raises(ResourceLimitError, match="primality proof bound"):
+            require_prime(n)
 
 
 def test_cli_primality_gate_exits_3():
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(["valuation", "3", "--p", "4294967311"])
+        code = main(["valuation", "3", "--p", str(PROVEN_PRIME_BOUND)])
     assert code == 3
     assert out.getvalue() == ""
 

@@ -126,6 +126,21 @@ def test_prime_factorization_validates():
         PrimeFactorization(sign=2, factors=())
 
 
+# the least strong pseudoprime to the twelve Miller-Rabin bases, 399165290221 *
+# 798330580441: is_prime accepts it, so both validate through require_prime's gate
+PSEUDOPRIME_12 = 318665857834031151167461
+
+
+def test_places_and_factorizations_refuse_the_twelve_base_pseudoprime():
+    with pytest.raises(ResourceLimitError):
+        Place.finite(PSEUDOPRIME_12)
+    with pytest.raises(ResourceLimitError):
+        PrimeFactorization(sign=1, factors=((PSEUDOPRIME_12, 1),))
+    below = 318665857834031151167441  # the largest prime below it
+    assert Place.finite(below).prime == below
+    assert PrimeFactorization(1, ((below, 1),)).value == below
+
+
 # ---------------------------------------------------------------------------
 # Places of Q and the product formula
 # ---------------------------------------------------------------------------
