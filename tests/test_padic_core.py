@@ -733,10 +733,13 @@ def test_is_prime_accepts_large_primes(n):
     assert is_prime(n)
 
 
-# the smallest prime above 2**32 passes, and the composite Fermat number F5
-# fails the primality test, not the gate
-def test_require_prime_admits_past_2_32():
+# the smallest prime above 2**32 passes the gate
+def test_require_prime_admits_the_least_prime_past_2_32():
     assert require_prime(4294967311) == 4294967311
+
+
+# the composite Fermat number F5 fails the primality test, not the gate
+def test_require_prime_refuses_f5_as_composite():
     with pytest.raises(NotPrimeError):
         require_prime(2**32 + 1)
 
