@@ -248,7 +248,7 @@ def _check_printable(p: int, e: int) -> None:
     # p**e >= 2**(e * (bits - 1)), so the first test keeps p**e itself small
     if e * (p.bit_length() - 1) >= _PRINTABLE.bit_length() or p**e > _PRINTABLE:
         raise ResourceLimitError(
-            f"p**e exceeds 4300 decimal digits, p = {quoted(str(p))}, e = {quoted(str(e))}"
+            f"p**e exceeds 4300 decimal digits, p = {quoted(p)}, e = {quoted(e)}"
         )
 
 

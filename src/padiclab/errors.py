@@ -5,12 +5,25 @@ machine-parsable reason. ``DomainError`` maps to exit status 1,
 ``ResourceLimitError`` to exit status 3.
 """
 
+import sys
+
 #: Longest part of an input string that an error message quotes.
 _QUOTE_CHARS = 40
 
 
+def int_str(n: int) -> str:
+    """``str(n)``; an int past CPython's int-to-str digit limit shows its bit length instead."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit (before 3.10.7)
+    if limit and abs(n) >= 10**limit:  # over ``limit`` digits: str(n) would raise
+        return f"{'-' if n < 0 else ''}<int of {n.bit_length()} bits>"
+    return str(n)
+
+
 def quoted(s) -> str:
-    """``repr(s)``; a string longer than ``_QUOTE_CHARS`` shows only its prefix and length."""
+    """``repr(s)``, an int as the repr of ``int_str(s)``; past ``_QUOTE_CHARS``
+    characters only the prefix and the length show."""
+    if isinstance(s, int):
+        s = int_str(s)
     if isinstance(s, str) and len(s) > _QUOTE_CHARS:
         return f"{s[:_QUOTE_CHARS]!r}... ({len(s)} characters)"
     return repr(s)

@@ -120,7 +120,7 @@ def roots_mod_p(f, p: int) -> list[int]:
     require_prime(p)
     coeffs = _int_coeffs(f)
     if p * len(coeffs) > ROOT_SCAN_LIMIT:
-        raise ResourceLimitError(f"root scan: p * terms > {ROOT_SCAN_LIMIT}, p = {quoted(str(p))}")
+        raise ResourceLimitError(f"root scan: p * terms > {ROOT_SCAN_LIMIT}, p = {quoted(p)}")
     if all(c % p == 0 for c in coeffs):
         raise DomainError(f"f vanishes identically mod {p}; every residue is a root")
     return [x for x in range(p) if _poly_eval(coeffs, x, p) == 0]

@@ -1,17 +1,15 @@
-"""Exact p-adic numbers at fixed digit precision.
+"""Exact p-adic numbers at fixed precision.
 
-A nonzero value is stored as ``p**v * unit_value`` with ``unit_value`` an
-integer in ``[0, p**r)`` not divisible by p, so the valuation and the norm
-are O(1) reads and arithmetic is plain residue arithmetic.  The value is
-known modulo ``p**(v+r)``; ``r`` is the number of guaranteed digits, and
-the base-p digits ``unit`` are a view computed on demand.  Zero is
-canonical: infinite valuation and ``unit_value == 0``.
-
-Arithmetic tracks precision honestly.  Multiplication and inversion keep the
-minimum of the operand precisions; addition may lose digits when leading
-digits cancel, and the result reports only the digits actually guaranteed.
-A zero result of ``+`` means "indistinguishable from zero at the tracked
-precision".
+One precision rule: every value is known modulo p**N.  A nonzero value is
+``p**v * unit_value``, ``unit_value`` in ``[0, p**r)`` prime to p and
+N = v + r, so the valuation and the norm are O(1) reads; the base-p digits
+``unit`` are a view computed on demand.  A zero is O(p**N): infinite v,
+``unit_value == 0`` and r = N, any integer.  With e = v, or N for a zero, a
+sum or difference runs from min(e1, e2) to min(N1, N2), a product from
+e1 + e2 to min(N1 + e2, N2 + e1), and an inverse from -v to r - v (zealous
+arithmetic: Caruso, Roe & Vaccon, "Tracking p-adic precision", 2014).  Each
+result is one residue read by ``_from_residue``, so cancelled digits are
+never claimed and a zero needs no special case.
 
 Only the public ``PadicNumber(...)`` constructor validates.  The named
 constructors check their own arguments, and every arithmetic result is built
@@ -46,6 +44,7 @@ from .errors import (
     NotPrimeError,
     ResourceLimitError,
     ZeroInversionError,
+    int_str,
     quoted,
 )
 
@@ -119,10 +118,12 @@ def is_prime(p: int) -> bool:
 
 def require_prime(p: int) -> int:
     """p itself, if it is a prime below ``PROVEN_PRIME_BOUND``, where ``is_prime`` is a proof."""
-    if isinstance(p, int) and p >= PROVEN_PRIME_BOUND:
-        raise ResourceLimitError(f"p = {quoted(str(p))} is past the primality proof bound")
+    if not isinstance(p, int):  # before is_prime's cache hashes p
+        raise NotPrimeError(f"prime expected, got {p!r}")
+    if p >= PROVEN_PRIME_BOUND:
+        raise ResourceLimitError(f"p = {quoted(p)} is past the primality proof bound")
     if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+        raise NotPrimeError(f"{int_str(p)} is not prime")
     return p
 
 
@@ -318,13 +319,13 @@ def _require_precision(p: int, r: int) -> None:
 
 @dataclass(frozen=True)
 class PadicNumber:
-    """A p-adic number ``p**v * unit_value``, its unit known modulo ``p**r``.
+    """A p-adic number ``p**v * unit_value`` known modulo ``p**N``.
 
-    Invariant: p is a prime, r >= 1, ``0 <= unit_value < p**r``, and either
-    v is finite and p does not divide ``unit_value``, or v is infinite and
-    ``unit_value == 0`` (so zero is exactly unit 0).  ``PadicNumber(...)``
-    checks it; the named constructors and the arithmetic build results that
-    hold it by construction and skip the check.
+    Invariant: p is a prime, and either v is finite, r >= 1 and
+    ``0 < unit_value < p**r`` is prime to p (N = v + r), or v is infinite,
+    ``unit_value == 0`` and r = N is any integer: the zero O(p**N).
+    ``PadicNumber(...)`` checks it; the named constructors and the
+    arithmetic build results that hold it by construction and skip the check.
     """
 
     p: int
@@ -333,15 +334,18 @@ class PadicNumber:
     r: int
 
     def __post_init__(self):
-        _require_precision(self.p, self.r)
-        if not isinstance(self.unit_value, int):
-            raise DomainError(f"unit must be an int, got {self.unit_value!r}")
-        if not 0 <= self.unit_value < self.p**self.r:
-            raise DomainError(f"unit must lie in [0, {self.p}**{self.r})")
+        p, r, u = self.p, self.r, self.unit_value
+        require_prime(p)
+        if not isinstance(u, int):
+            raise DomainError(f"unit must be an int, got {u!r}")
         if self.v.is_infinite:
-            if self.unit_value:
+            if u:
                 raise DomainError("zero must carry a zero unit")
-        elif self.unit_value % self.p == 0:
+            return
+        _require_precision(p, r)
+        if not 0 <= u < p**r:
+            raise DomainError(f"unit must lie in [0, {p}**{r})")
+        if u % p == 0:
             raise DomainError("nonzero unit part must not be divisible by p")
 
     # -- constructors ------------------------------------------------------
@@ -383,13 +387,13 @@ class PadicNumber:
         return cls._canonical(p, Valuation(vn - vd), b * pow(c, -1, p**r) % p**r, r)
 
     @classmethod
-    def _from_residue(cls, p: int, x: int, w: int, v0: int = 0) -> "PadicNumber":
-        """``p**v0 * x`` for x known mod ``p**w``, w >= 1; each factor p of x costs a digit."""
-        x %= p**w
+    def _from_residue(cls, p: int, x: int, n: int, e: int = 0) -> "PadicNumber":
+        """``p**e * x`` known mod ``p**n``, n >= e: a factor p of x costs a digit; 0 is O(p**n)."""
+        x %= p ** (n - e)
         if x == 0:
-            return cls._canonical(p, INFINITY, 0, w)
+            return cls._canonical(p, INFINITY, 0, n)
         shift = _int_valuation(x, p)
-        return cls._canonical(p, Valuation(v0 + shift), x // p**shift, w - shift)
+        return cls._canonical(p, Valuation(e + shift), x // p**shift, n - e - shift)
 
     # -- structure ---------------------------------------------------------
 
@@ -403,34 +407,29 @@ class PadicNumber:
         return _digits(self.unit_value, self.p, self.r)
 
     def truncate(self, r: int) -> "PadicNumber":
-        """Forget digits beyond the first ``r``."""
-        if not 1 <= r <= self.r:
+        """Forget digits beyond the first ``r``; a zero O(p**N) weakens to O(p**r), any r <= N."""
+        if not (r <= self.r and (r >= 1 or self.is_zero)):
             raise DomainError(f"cannot truncate {self.r}-digit value to {r} digits")
-        return PadicNumber._canonical(self.p, self.v, self.unit_value % self.p**r, r)
+        u = self.unit_value and self.unit_value % self.p**r  # 0 for a zero, whatever r is
+        return PadicNumber._canonical(self.p, self.v, u, r)
 
     def agrees_with(self, other: "PadicNumber") -> bool:
-        """Whether the two precision-limited claims are mutually consistent.
+        """Whether one p-adic number meets both claims: they agree mod p**min(N1, N2).
 
-        Nonzero values carry an exact valuation plus a unit modulo p**r; a
-        zero tracked to w digits is the weaker claim "valuation at least w"
-        (all digits that were guaranteed cancelled).
+        That is their difference being O(p**min(N1, N2)); a zero O(p**N)
+        claims only "valuation at least N".
         """
-        if self.p != other.p:
-            return False
-        if self.is_zero and other.is_zero:
-            return True
-        if self.is_zero:
-            return int(other.v) >= self.r
-        if other.is_zero:
-            return int(self.v) >= other.r
-        if self.v != other.v:
-            return False
-        m = self.p ** min(self.r, other.r)
-        return self.unit_value % m == other.unit_value % m
+        return self.p == other.p and self.sub(other).is_zero
 
     # -- arithmetic --------------------------------------------------------
     #
     # Operands hold the invariant, so a nonzero operand has a finite v.value.
+
+    def _en(self) -> tuple[int, int]:
+        # (e, N): p**e times a residue known mod p**(N - e); a zero O(p**N) has e = N
+        if self.unit_value:
+            return self.v.value, self.v.value + self.r
+        return self.r, self.r
 
     def _check_compatible(self, other: "PadicNumber") -> None:
         if not isinstance(other, PadicNumber):
@@ -439,34 +438,24 @@ class PadicNumber:
             raise MixedPrimesError(f"mixed primes {self.p} and {other.p}")
 
     def add(self, other: "PadicNumber") -> "PadicNumber":
-        """Sum, reported at the number of digits actually guaranteed.
-
-        Both operands are known modulo a power of p; the sum is known modulo
-        the smaller one.  If leading digits cancel, the lost digits are not
-        reported back.
-        """
+        """Sum, known mod p**min(N1, N2): digits that cancel are not claimed."""
         self._check_compatible(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        p = self.p
-        vx, vy = self.v.value, other.v.value
-        vmin = min(vx, vy)
-        known = min(vx + self.r, vy + other.r)  # sum known mod p**known
-        total = self.unit_value * p ** (vx - vmin) + other.unit_value * p ** (vy - vmin)
-        return PadicNumber._from_residue(p, total, known - vmin, vmin)
+        p, (e1, n1), (e2, n2) = self.p, self._en(), other._en()
+        e, n = min(e1, e2), min(n1, n2)
+        # past n a term is 0 mod p**(n - e) either way: min keeps its power small
+        x = self.unit_value * p ** (min(e1, n) - e) + other.unit_value * p ** (min(e2, n) - e)
+        return PadicNumber._from_residue(p, x, n, e)
 
     def neg(self) -> "PadicNumber":
-        return PadicNumber._canonical(self.p, self.v, -self.unit_value % self.p**self.r, self.r)
+        e, n = self._en()
+        return PadicNumber._from_residue(self.p, -self.unit_value, n, e)
 
     def mul(self, other: "PadicNumber") -> "PadicNumber":
+        """Product, known mod p**min(N1 + e2, N2 + e1)."""
         self._check_compatible(other)
-        p, r = self.p, min(self.r, other.r)
-        if self.is_zero or other.is_zero:
-            return PadicNumber._canonical(p, INFINITY, 0, r)
-        u = self.unit_value * other.unit_value % p**r
-        return PadicNumber._canonical(p, Valuation(self.v.value + other.v.value), u, r)
+        (e1, n1), (e2, n2) = self._en(), other._en()
+        x = self.unit_value * other.unit_value
+        return PadicNumber._from_residue(self.p, x, min(n1 + e2, n2 + e1), e1 + e2)
 
     def inv(self) -> "PadicNumber":
         if self.is_zero:

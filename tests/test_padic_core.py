@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padiclab import (
@@ -28,6 +29,7 @@ from padiclab import (
     FqPolynomial,
     NotPrimeError,
     PadicNumber,
+    Place,
     RationalPolynomial,
     ResourceLimitError,
     Valuation,
@@ -39,9 +41,11 @@ from padiclab import (
     norm,
     nu,
     parse_expansion_string,
+    sqrt_padic,
     to_expansion_string,
 )
-from padiclab.cli import main
+from padiclab.cli import _check_printable, main
+from padiclab.errors import quoted
 from padiclab.padic_core import (
     _MR_BASES,
     _MR_TIERS,
@@ -415,13 +419,23 @@ def padic_operands(draw):
     return x, y
 
 
+# zeros below one digit, built by cancellation: O(5**-2) and O(5**0)
+_BELOW_ONE_DIGIT = [
+    PadicNumber.from_rational(Fraction(1, 125), 5, 1),
+    PadicNumber.from_rational(Fraction(1, 25), 5, 2),
+]
+
+
 @settings(deadline=None)
 @given(xy=padic_operands(), cut=st.integers(1, 60))
+@example(xy=(_BELOW_ONE_DIGIT[0], _BELOW_ONE_DIGIT[0].neg()), cut=1)
+@example(xy=(_BELOW_ONE_DIGIT[1], _BELOW_ONE_DIGIT[1].neg()), cut=1)
 def test_every_result_is_canonical(xy, cut):
     x, y = xy
     results = [x, y, x.add(y), x.sub(y), y.sub(x), x.mul(y), x.neg(), x.add(x.neg())]
     results += [z.inv() for z in (x, y, x.add(y)) if not z.is_zero]
     results += [z.truncate(min(cut, z.r)) for z in (x, x.add(y))]
+    results += [z.truncate(z.r - cut) for z in (x.add(y), x.add(x.neg())) if z.is_zero]
     results += [PadicNumber.zero(x.p, cut)]
     for z in results:
         assert_canonical(z)
@@ -450,6 +464,176 @@ def test_cancelling_sum_strips_the_factors_of_p():
     s = x.sub(y)
     assert_canonical(s)
     assert (int(s.v), s.unit_value, s.r) == (3, 1, 7)
+
+
+# ---------------------------------------------------------------------------
+# Perturbation oracle: every value a claim admits meets the result's claim
+# ---------------------------------------------------------------------------
+#
+# A result z claims "the value is c mod p**N": c = p**v * unit and N = v + r,
+# or c = 0 and N = r for a zero.  Replacing each operand by another value its
+# claim admits, c + p**N * t with t p-integral, must give an exact result that
+# meets z's claim, checked by brute valuations and by ``agrees_with``.
+
+
+def claim(z):
+    """(c, N): z claims the value is c mod p**N."""
+    if z.is_zero:
+        return Fraction(0), z.r
+    return z.unit_value * Fraction(z.p) ** int(z.v), int(z.v) + z.r
+
+
+def admitted(z, t):
+    """Another value z's claim admits, for a p-integral rational t."""
+    c, n = claim(z)
+    return c + Fraction(z.p) ** n * t
+
+
+def meets(q, z):
+    """Whether the exact rational q meets z's claim: q == c mod p**N."""
+    c, n = claim(z)
+    by_valuation = q == c or brute_valuation(q - c, z.p) >= n
+    # q to an absolute precision past N, so agrees_with decides mod p**N
+    exact = PadicNumber.from_rational(q, z.p, max(1, n + 1 - (brute_valuation(q, z.p) if q else 0)))
+    assert z.agrees_with(exact) == by_valuation
+    return by_valuation
+
+
+def is_tight(z, results):
+    """Whether two of the exact results, all meeting z's claim, differ at digit N."""
+    _, n = claim(z)
+    return min(brute_valuation(q - results[0], z.p) for q in results[1:] if q != results[0]) == n
+
+
+ORACLE_PRIMES = [2, 3, 5]
+
+
+@st.composite
+def p_integral(draw, p):
+    num, den = draw(st.integers(-10**4, 10**4)), draw(st.integers(1, 10**4))
+    return Fraction(num, den if den % p else den + 1)
+
+
+@st.composite
+def claimed_operands(draw, p):
+    """A rational to 1-8 digits, its valuation down to about -10, or a zero or
+    near-zero left by cancelling leading digits."""
+    q = draw(rationals) * Fraction(p) ** draw(st.integers(-4, 4))
+    x = PadicNumber.from_rational(q, p, draw(st.integers(1, 8)))
+    kind = draw(st.sampled_from(["value", "cancelled", "near"]))
+    if kind == "cancelled":
+        return x.sub(x)  # O(p**N), N = v + r, which can be below one digit
+    if kind == "near":
+        near = q + Fraction(p) ** draw(st.integers(-4, 12)) * draw(p_integral(p))
+        return x.sub(PadicNumber.from_rational(near, p, draw(st.integers(1, 8))))
+    return x
+
+
+BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data(), p=st.sampled_from(ORACLE_PRIMES), op=st.sampled_from(sorted(BINARY)))
+def test_sums_and_products_hold_for_every_admitted_operand(data, p, op):
+    x, y = data.draw(claimed_operands(p)), data.draw(claimed_operands(p))
+    z = getattr(x, op)(y)
+    exact = BINARY[op]
+    s, t = data.draw(p_integral(p)), data.draw(p_integral(p))
+    assert meets(exact(admitted(x, s), admitted(y, t)), z)
+    # tight: moving an operand to its first unclaimed digit moves the result to z's
+    results = [exact(admitted(x, i), admitted(y, j)) for i in (0, 1) for j in (0, 1)]
+    assert all(meets(q, z) for q in results)
+    assert is_tight(z, results)
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data(), p=st.sampled_from(ORACLE_PRIMES))
+def test_negation_inversion_and_truncation_hold_for_every_admitted_operand(data, p):
+    x, t = data.draw(claimed_operands(p)), data.draw(p_integral(p))
+    q = admitted(x, t)
+    assert meets(-q, x.neg())
+    assert is_tight(x.neg(), [-admitted(x, 0), -admitted(x, 1)])
+    cut = data.draw(st.integers(x.r - 6 if x.is_zero else 1, x.r))
+    assert meets(q, x.truncate(cut))
+    if not x.is_zero:  # c + p**N * t is never 0 when v(c) < N
+        assert meets(1 / q, x.inv())
+        assert is_tight(x.inv(), [1 / admitted(x, 0), 1 / admitted(x, 1)])
+
+
+@settings(deadline=None)
+@given(q=rationals, p=st.sampled_from(ORACLE_PRIMES), r=st.integers(1, 12))
+def test_from_rational_and_parsing_meet_their_exact_input(q, p, r):
+    assert meets(q, PadicNumber.from_rational(q, p, r))
+    n = abs(q.numerator)
+    text = to_expansion_string(PadicNumber.from_integer(n, p, r + 12))
+    assert meets(Fraction(n), parse_expansion_string(text, p, r))
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(-(10**12), 10**12),
+    c=st.integers(1, 50),
+    p=st.sampled_from([3, 7, 11]),
+    k=st.integers(0, 10),
+    data=st.data(),
+)
+def test_lifted_and_square_roots_meet_their_claims(n, c, p, k, data):
+    # (x - n)(x**2 + p*c*x + 1) has the simple root n, as -1 is no square mod p = 3 mod 4;
+    # every value the lifted claim admits is a root of f to that claim's precision
+    f = (-n, 1 - p * c * n, p * c - n, 1)
+    r = data.draw(st.integers(1, k + 1))
+    z = hensel_lift(f, n % p, p, k).as_padic(r)
+    assert meets(Fraction(n), z)
+    w = admitted(z, data.draw(p_integral(p)))
+    fw = sum(a * w**i for i, a in enumerate(f))
+    assert fw == 0 or brute_valuation(fw, p) >= r
+    # a square unit: each root to k + 1 digits meets the root 5 digits deeper
+    a = n * n + p * c if n % p else 1 + p * c
+    for z, deep in zip(sqrt_padic(a, p, k + 1), sqrt_padic(a, p, k + 6)):
+        assert meets(Fraction(deep.unit_value), z)
+        w = admitted(z, data.draw(p_integral(p)))
+        assert w * w == a or brute_valuation(w * w - a, p) >= k + 1
+
+
+def test_a_sum_builds_no_power_of_p_past_its_precision():
+    # a term whose valuation lies past the sum's precision is 0 mod p**(N - e):
+    # 5**(10**12) would not fit in memory
+    far, one = PadicNumber(5, Valuation.finite(10**12), 1, 1), PadicNumber.from_integer(1, 5, 3)
+    assert far + one == one == one - far
+    assert (far - far) + one == one
+
+
+def test_a_zero_plus_a_value_keeps_only_what_the_zero_knows():
+    # (1 - 1) + 5**5 * 7 at three digits: only "0 mod 5**3" is known, as
+    # 1 + 5**3 is also 1 to three digits and (1 + 5**3) - 1 + 5**5 * 7 has valuation 3
+    one = PadicNumber.from_integer(1, 5, 3)
+    z = (one - one) + PadicNumber.from_integer(5**5 * 7, 5, 3)
+    assert meets(Fraction(1 + 5**3 - 1 + 5**5 * 7), z)
+    assert z == PadicNumber.zero(5, 3)
+
+
+def test_a_zero_times_a_negative_valuation_keeps_only_what_is_known():
+    # (1 - 1) * (1/25): 5**3 * (1/25) = 5, so only "0 mod 5" is known
+    one = PadicNumber.from_integer(1, 5, 3)
+    z = (one - one) * PadicNumber.from_rational(Fraction(1, 25), 5, 3)
+    assert meets(Fraction(5**3, 25), z)
+    assert z == PadicNumber.zero(5, 1)
+
+
+@pytest.mark.parametrize(
+    "x, n",
+    [
+        # (1/5 + 25) - 1/5 = 25: only "0 mod 5**2" is known
+        (PadicNumber.from_rational(Fraction(1, 5), 5, 3), 2),
+        # 5 is known mod 5**4, and so is 5 - 5
+        (PadicNumber.from_integer(5, 5, 3), 4),
+    ],
+    ids=["one fifth", "five"],
+)
+def test_a_cancelled_zero_keeps_the_absolute_precision(x, n):
+    z = x - x
+    assert meets(Fraction(5) ** n, z) and not meets(Fraction(5) ** n, PadicNumber.zero(5, n + 1))
+    assert z == PadicNumber.zero(5, n)
 
 
 # ---------------------------------------------------------------------------
@@ -744,13 +928,16 @@ def test_require_prime_refuses_f5_as_composite():
         require_prime(2**32 + 1)
 
 
+HUGE = 10**5000  # past CPython's 4300-digit limit on str(int)
+
+
 # the largest prime below the gate passes; the gate is the least strong
 # pseudoprime to all twelve bases, which is_prime itself accepts
 def test_require_prime_gate_refuses_at_the_proof_bound():
     assert PROVEN_PRIME_BOUND == 318665857834031151167461 == 399165290221 * 798330580441
     assert require_prime(318665857834031151167441) == 318665857834031151167441
     assert is_prime(PROVEN_PRIME_BOUND)
-    for n in (PROVEN_PRIME_BOUND, PROVEN_PRIME_BOUND + 2, 2**127 - 1):
+    for n in (PROVEN_PRIME_BOUND, PROVEN_PRIME_BOUND + 2, 2**127 - 1, HUGE):
         with pytest.raises(ResourceLimitError, match="primality proof bound"):
             require_prime(n)
 
@@ -761,6 +948,33 @@ def test_cli_primality_gate_exits_3():
         code = main(["valuation", "3", "--p", str(PROVEN_PRIME_BOUND)])
     assert code == 3
     assert out.getvalue() == ""
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: require_prime(-HUGE), NotPrimeError),
+        (lambda: _check_printable(HUGE, 2), ResourceLimitError),
+        (lambda: require_prime([2]), NotPrimeError),
+        (lambda: nu(3, [2]), NotPrimeError),
+        (lambda: Place.finite([2]), NotPrimeError),
+    ],
+    ids=["huge negative", "huge printed", "list", "nu of a list", "place of a list"],
+)
+def test_a_prime_argument_is_refused_cleanly(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert len(str(info.value)) < 200
+
+
+@given(n=st.integers(-(10**60), 10**60) | st.sampled_from([10**4300 - 1, -(10**4300 - 1)]))
+def test_quoting_a_printable_int_quotes_its_decimal_string(n):
+    assert quoted(n) == quoted(str(n))
+
+
+def test_quoting_an_unprintable_int_gives_its_bit_length():
+    assert quoted(HUGE) == "'<int of 16610 bits>'" and quoted(-HUGE) == "'-<int of 16610 bits>'"
+    assert quoted(10**4300) == f"'<int of {(10**4300).bit_length()} bits>'"
 
 
 # -- the shared digit codec and polynomial kernels -----------------------------
