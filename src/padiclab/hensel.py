@@ -42,6 +42,7 @@ from .padic_core import (
     _digits,
     _poly_derivative,
     _poly_eval,
+    _trusted,
     require_prime,
 )
 
@@ -153,7 +154,7 @@ def hensel_lift(f, x0: int, p: int, k: int, method: str = "newton") -> LiftTrace
         root = _lift_newton(coeffs, deriv, x0, p, k)
     else:
         raise DomainError(f"unknown lifting method {method!r}")
-    return LiftTrace(p, coeffs, k, root)
+    return _trusted(LiftTrace, p=p, f=coeffs, k=k, root=root)
 
 
 def _check_lift_work(p: int, k: int, terms: int) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DecodeFailureError, DomainError, NonEncodableError, ZeroInversionError
-from .padic_core import _digits, require_prime
+from .padic_core import _digits, _trusted, require_prime
 
 
 @dataclass(frozen=True)
@@ -63,22 +63,22 @@ def encode(a, p: int, r: int) -> HenselCode:
             f"{a} has no {p}-adic integer code: {p} divides the denominator"
         )
     m = p**r
-    return HenselCode(p, r, a.numerator * pow(a.denominator, -1, m) % m)
+    return _trusted(HenselCode, p=p, r=r, value=a.numerator * pow(a.denominator, -1, m) % m)
 
 
 def code_add(x: HenselCode, y: HenselCode) -> HenselCode:
     x._check_compatible(y)
-    return HenselCode(x.p, x.r, (x.value + y.value) % x.p**x.r)
+    return _trusted(HenselCode, p=x.p, r=x.r, value=(x.value + y.value) % x.p**x.r)
 
 
 def code_sub(x: HenselCode, y: HenselCode) -> HenselCode:
     x._check_compatible(y)
-    return HenselCode(x.p, x.r, (x.value - y.value) % x.p**x.r)
+    return _trusted(HenselCode, p=x.p, r=x.r, value=(x.value - y.value) % x.p**x.r)
 
 
 def code_mul(x: HenselCode, y: HenselCode) -> HenselCode:
     x._check_compatible(y)
-    return HenselCode(x.p, x.r, x.value * y.value % x.p**x.r)
+    return _trusted(HenselCode, p=x.p, r=x.r, value=x.value * y.value % x.p**x.r)
 
 
 def code_div(x: HenselCode, y: HenselCode) -> HenselCode:
@@ -86,7 +86,7 @@ def code_div(x: HenselCode, y: HenselCode) -> HenselCode:
     if y.value % y.p == 0:
         raise ZeroInversionError(f"divisor {y.value} is divisible by {y.p}")
     m = x.p**x.r
-    return HenselCode(x.p, x.r, x.value * pow(y.value, -1, m) % m)
+    return _trusted(HenselCode, p=x.p, r=x.r, value=x.value * pow(y.value, -1, m) % m)
 
 
 def decode(x: HenselCode) -> Fraction:

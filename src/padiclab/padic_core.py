@@ -11,10 +11,10 @@ arithmetic: Caruso, Roe & Vaccon, "Tracking p-adic precision", 2014).  Each
 result is one residue read by ``_from_residue``, so cancelled digits are
 never claimed and a zero needs no special case.
 
-Only the public ``PadicNumber(...)`` constructor validates.  The named
-constructors check their own arguments, and every arithmetic result is built
-canonical by construction (reduced unit prime to p, zero exactly when the
-unit is 0), so no result re-runs those checks.
+One rule for every exact value type of the package: only the public
+constructor ``Type(...)`` validates, and named constructors check their own
+arguments; a library routine has certified its results (here: a reduced unit
+prime to p, zero exactly when it is 0) and builds them with ``_trusted``.
 
 Valuations and norms of exact rationals are computed exactly: a norm is the
 ``Fraction`` p**e read off integer exponents, never a float.
@@ -92,7 +92,7 @@ def is_prime(p: int) -> bool:
     bounds of ``_MR_TIERS`` a proven-enough prefix of the bases is tested.
     """
     if not isinstance(p, int):
-        raise NotPrimeError(f"prime expected, got {p!r}")
+        raise NotPrimeError(f"prime expected, got {type(p).__name__}")
     if p < 2:
         return False
     for a in _MR_BASES:
@@ -118,13 +118,20 @@ def is_prime(p: int) -> bool:
 
 def require_prime(p: int) -> int:
     """p itself, if it is a prime below ``PROVEN_PRIME_BOUND``, where ``is_prime`` is a proof."""
-    if not isinstance(p, int):  # before is_prime's cache hashes p
-        raise NotPrimeError(f"prime expected, got {p!r}")
+    if not isinstance(p, int):  # before is_prime's cache hashes p; no repr of a huge int
+        raise NotPrimeError(f"prime expected, got {type(p).__name__}")
     if p >= PROVEN_PRIME_BOUND:
         raise ResourceLimitError(f"p = {quoted(p)} is past the primality proof bound")
     if not is_prime(p):
         raise NotPrimeError(f"{int_str(p)} is not prime")
     return p
+
+
+def _trusted(cls, **fields):
+    """cls(**fields) for fields that hold the invariant of the frozen dataclass cls, unchecked."""
+    x = object.__new__(cls)
+    x.__dict__.update(fields)
+    return x
 
 
 def _int_valuation(n: int, p: int) -> int:
@@ -325,7 +332,7 @@ class PadicNumber:
     ``0 < unit_value < p**r`` is prime to p (N = v + r), or v is infinite,
     ``unit_value == 0`` and r = N is any integer: the zero O(p**N).
     ``PadicNumber(...)`` checks it; the named constructors and the
-    arithmetic build results that hold it by construction and skip the check.
+    arithmetic build results that hold it by construction with ``_trusted``.
     """
 
     p: int
@@ -335,14 +342,13 @@ class PadicNumber:
 
     def __post_init__(self):
         p, r, u = self.p, self.r, self.unit_value
-        require_prime(p)
+        _require_precision(p, 1 if self.v.is_infinite else r)  # a zero O(p**N) takes any N
         if not isinstance(u, int):
             raise DomainError(f"unit must be an int, got {u!r}")
         if self.v.is_infinite:
             if u:
                 raise DomainError("zero must carry a zero unit")
             return
-        _require_precision(p, r)
         if not 0 <= u < p**r:
             raise DomainError(f"unit must lie in [0, {p}**{r})")
         if u % p == 0:
@@ -351,18 +357,9 @@ class PadicNumber:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _canonical(cls, p: int, v: Valuation, unit_value: int, r: int) -> "PadicNumber":
-        # fields already satisfy the invariant: skip __init__ and its checks
-        # (a frozen dataclass refuses setattr, so fill the instance dict)
-        x = object.__new__(cls)
-        d = x.__dict__
-        d["p"], d["v"], d["unit_value"], d["r"] = p, v, unit_value, r
-        return x
-
-    @classmethod
     def zero(cls, p: int, r: int) -> "PadicNumber":
         _require_precision(p, r)
-        return cls._canonical(p, INFINITY, 0, r)
+        return _trusted(cls, p=p, v=INFINITY, unit_value=0, r=r)
 
     @classmethod
     def from_integer(cls, n: int, p: int, r: int) -> "PadicNumber":
@@ -370,30 +367,28 @@ class PadicNumber:
         if not isinstance(n, int):
             raise DomainError(f"an integer is expected, got {n!r}")
         if n == 0:
-            return cls._canonical(p, INFINITY, 0, r)
+            return _trusted(cls, p=p, v=INFINITY, unit_value=0, r=r)
         v = _int_valuation(n, p)
-        return cls._canonical(p, Valuation(v), (n // p**v) % p**r, r)
+        return _trusted(cls, p=p, v=Valuation(v), unit_value=(n // p**v) % p**r, r=r)
 
     @classmethod
     def from_rational(cls, a, p: int, r: int) -> "PadicNumber":
         _require_precision(p, r)
         a = Fraction(a)
         if a == 0:
-            return cls._canonical(p, INFINITY, 0, r)
-        vn = _int_valuation(a.numerator, p)
-        vd = _int_valuation(a.denominator, p)
-        b = a.numerator // p**vn
-        c = a.denominator // p**vd
-        return cls._canonical(p, Valuation(vn - vd), b * pow(c, -1, p**r) % p**r, r)
+            return _trusted(cls, p=p, v=INFINITY, unit_value=0, r=r)
+        vn, vd = _int_valuation(a.numerator, p), _int_valuation(a.denominator, p)
+        u = a.numerator // p**vn * pow(a.denominator // p**vd, -1, p**r) % p**r
+        return _trusted(cls, p=p, v=Valuation(vn - vd), unit_value=u, r=r)
 
     @classmethod
     def _from_residue(cls, p: int, x: int, n: int, e: int = 0) -> "PadicNumber":
         """``p**e * x`` known mod ``p**n``, n >= e: a factor p of x costs a digit; 0 is O(p**n)."""
         x %= p ** (n - e)
         if x == 0:
-            return cls._canonical(p, INFINITY, 0, n)
-        shift = _int_valuation(x, p)
-        return cls._canonical(p, Valuation(e + shift), x // p**shift, n - e - shift)
+            return _trusted(cls, p=p, v=INFINITY, unit_value=0, r=n)
+        s = _int_valuation(x, p)
+        return _trusted(cls, p=p, v=Valuation(e + s), unit_value=x // p**s, r=n - e - s)
 
     # -- structure ---------------------------------------------------------
 
@@ -411,7 +406,7 @@ class PadicNumber:
         if not (r <= self.r and (r >= 1 or self.is_zero)):
             raise DomainError(f"cannot truncate {self.r}-digit value to {r} digits")
         u = self.unit_value and self.unit_value % self.p**r  # 0 for a zero, whatever r is
-        return PadicNumber._canonical(self.p, self.v, u, r)
+        return _trusted(PadicNumber, p=self.p, v=self.v, unit_value=u, r=r)
 
     def agrees_with(self, other: "PadicNumber") -> bool:
         """Whether one p-adic number meets both claims: they agree mod p**min(N1, N2).
@@ -461,7 +456,7 @@ class PadicNumber:
         if self.is_zero:
             raise ZeroInversionError("zero has no p-adic inverse")
         u = pow(self.unit_value, -1, self.p**self.r)
-        return PadicNumber._canonical(self.p, Valuation(-self.v.value), u, self.r)
+        return _trusted(PadicNumber, p=self.p, v=Valuation(-self.v.value), unit_value=u, r=self.r)
 
     def sub(self, other: "PadicNumber") -> "PadicNumber":
         self._check_compatible(other)
@@ -528,6 +523,18 @@ def parse_expansion_string(s: str, p: int, r: int) -> PadicNumber:
 # -- polynomials over the rationals and the Gauss norm ----------------------
 
 
+def _lowest_terms(den: int, nums) -> tuple[int, tuple[int, ...]]:
+    """den > 0 and its int numerators, both divided by their gcd; the numerators as a tuple."""
+    g = gcd(den, *nums)
+    return (den, tuple(nums)) if g == 1 else (den // g, tuple(n // g for n in nums))
+
+
+def _over_one_den(fs: list) -> tuple[int, list[int]]:
+    """(den, nums): the fractions as int numerators over their least common denominator."""
+    den = lcm(*[f.denominator for f in fs])
+    return den, [f.numerator * (den // f.denominator) for f in fs]
+
+
 @dataclass(frozen=True)
 class RationalPolynomial:
     """Polynomial with exact rational coefficients: integers over one denominator.
@@ -552,16 +559,12 @@ class RationalPolynomial:
         nums = list(nums)
         while nums and nums[-1] == 0:
             nums.pop()
-        g = gcd(den, *nums)
-        if g != 1:
-            den, nums = den // g, [n // g for n in nums]
-        return cls(den, tuple(nums))
+        den, nums = _lowest_terms(den, nums)
+        return _trusted(cls, den=den, nums=nums)
 
     @classmethod
     def of(cls, *coeffs) -> "RationalPolynomial":
-        cs = [Fraction(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in cs))
-        return cls._reduced(den, [c.numerator * (den // c.denominator) for c in cs])
+        return cls._reduced(*_over_one_den([Fraction(c) for c in coeffs]))
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
@@ -587,7 +590,7 @@ class RationalPolynomial:
         )
 
     def __neg__(self) -> "RationalPolynomial":
-        return RationalPolynomial(self.den, tuple(-n for n in self.nums))
+        return _trusted(RationalPolynomial, den=self.den, nums=tuple(-n for n in self.nums))
 
     def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         return self + (-other)

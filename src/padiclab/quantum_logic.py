@@ -35,7 +35,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import DomainError, ResourceLimitError
-from .padic_core import require_prime
+from .padic_core import _lowest_terms, _over_one_den, _trusted, require_prime
 
 # -- exact complex scalars and matrices --------------------------------------
 
@@ -118,10 +118,8 @@ class GaussianMatrix:
 
     @classmethod
     def _reduced(cls, dim: int, den: int, re, im) -> "GaussianMatrix":
-        g = gcd(den, *re, *im)
-        if g != 1:
-            den, re, im = den // g, [v // g for v in re], [v // g for v in im]
-        return cls(dim, den, tuple(re), tuple(im))
+        den, nums = _lowest_terms(den, [*re, *im])  # one gcd over both parts
+        return _trusted(cls, dim=dim, den=den, re=nums[: dim * dim], im=nums[dim * dim :])
 
     @classmethod
     def of(cls, entries) -> "GaussianMatrix":
@@ -136,14 +134,8 @@ class GaussianMatrix:
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise DomainError("matrix must be square and nonempty")
-        flat = [v for row in rows for v in row]
-        den = lcm(*(q.denominator for v in flat for q in (v.re, v.im)))
-        return cls._reduced(
-            n,
-            den,
-            [v.re.numerator * (den // v.re.denominator) for v in flat],
-            [v.im.numerator * (den // v.im.denominator) for v in flat],
-        )
+        den, nums = _over_one_den([q for row in rows for v in row for q in (v.re, v.im)])
+        return cls._reduced(n, den, nums[0::2], nums[1::2])
 
     @classmethod
     def identity(cls, dim: int) -> "GaussianMatrix":
@@ -198,9 +190,8 @@ class GaussianMatrix:
     def conjugate_transpose(self) -> "GaussianMatrix":
         n = self.dim
         order = [j * n + i for i in range(n) for j in range(n)]
-        return GaussianMatrix(
-            n, self.den, tuple(self.re[k] for k in order), tuple(-self.im[k] for k in order)
-        )
+        return _trusted(GaussianMatrix, dim=n, den=self.den, re=tuple(self.re[k] for k in order),
+                        im=tuple(-self.im[k] for k in order))
 
     def trace(self) -> GaussianRational:
         step = self.dim + 1
@@ -278,7 +269,7 @@ class PauliElement:
         for c in range(dim):
             k = (c ^ xmask) * dim + c
             re[k], im[k] = _I_POWERS[(self.phase + 2 * (c & zmask).bit_count()) % 4]
-        return GaussianMatrix(dim, 1, tuple(re), tuple(im))
+        return _trusted(GaussianMatrix, dim=dim, den=1, re=tuple(re), im=tuple(im))
 
     def __str__(self) -> str:
         # render (1,1) bit pairs as Y, folding the i of each XZ into the phase
@@ -298,10 +289,10 @@ def pauli_mul(x: PauliElement, y: PauliElement) -> PauliElement:
         raise DomainError(f"mixed qubit counts {x.n} and {y.n}")
     # moving each right-hand X past a left-hand Z costs a factor -1
     swaps = sum(zl * xr for zl, xr in zip(x.zbits, y.xbits))
-    return PauliElement(
-        (x.phase + y.phase + 2 * swaps) % 4,
-        tuple(a ^ b for a, b in zip(x.xbits, y.xbits)),
-        tuple(a ^ b for a, b in zip(x.zbits, y.zbits)),
+    return _trusted(
+        PauliElement, phase=(x.phase + y.phase + 2 * swaps) % 4,
+        xbits=tuple(a ^ b for a, b in zip(x.xbits, y.xbits)),
+        zbits=tuple(a ^ b for a, b in zip(x.zbits, y.zbits)),
     )
 
 
@@ -343,7 +334,7 @@ def pauli_basis(n: int = 1) -> list[PauliElement]:
     for bits in product((0, 1), repeat=2 * n):
         x, z = bits[:n], bits[n:]
         ys = sum(a & b for a, b in zip(x, z))
-        out.append(PauliElement(ys % 4, x, z))
+        out.append(_trusted(PauliElement, phase=ys % 4, xbits=x, zbits=z))
     return out
 
 

@@ -37,6 +37,7 @@ from .padic_core import (
     _poly_eval,
     _poly_mul,
     _poly_str,
+    _trusted,
     is_prime,
     require_prime,
 )
@@ -129,7 +130,7 @@ def factor(n: int) -> PrimeFactorization:
         d = _brent_rho(v)
         stack.append(d)
         stack.append(v // d)
-    return PrimeFactorization(sign, tuple(sorted(counts.items())))
+    return _trusted(PrimeFactorization, sign=sign, factors=tuple(sorted(counts.items())))
 
 
 # -- places of Q -------------------------------------------------------------
@@ -194,7 +195,7 @@ def local_norms(a) -> list[tuple[Place, Fraction]]:
     # numerator and denominator are coprime: no prime appears in both
     signed = list(factor(a.numerator).factors)
     signed += [(p, -e) for p, e in factor(a.denominator).factors]
-    out = [(Place.finite(p), _p_power(p, -e)) for p, e in sorted(signed)]
+    out = [(_trusted(Place, kind="finite", prime=p), _p_power(p, -e)) for p, e in sorted(signed)]
     out.append((Place.archimedean(), abs(a)))
     return out
 
@@ -223,10 +224,7 @@ class FqPolynomial:
 
     @classmethod
     def of(cls, p: int, *coeffs: int) -> "FqPolynomial":
-        cs = [c % p for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return cls(p, tuple(cs))
+        return _fq(require_prime(p), coeffs)
 
     @classmethod
     def x(cls, p: int) -> "FqPolynomial":
@@ -261,24 +259,24 @@ class FqPolynomial:
 
     def __add__(self, other: "FqPolynomial") -> "FqPolynomial":
         self._same_field(other)
-        return FqPolynomial.of(self.p, *_poly_add(self.coefficients, other.coefficients))
+        return _fq(self.p, _poly_add(self.coefficients, other.coefficients))
 
     def __neg__(self) -> "FqPolynomial":
-        return FqPolynomial(self.p, tuple((-c) % self.p for c in self.coefficients))
+        return _fq(self.p, [-c for c in self.coefficients])
 
     def __sub__(self, other: "FqPolynomial") -> "FqPolynomial":
         return self + (-other)
 
     def __mul__(self, other: "FqPolynomial") -> "FqPolynomial":
         self._same_field(other)
-        return FqPolynomial.of(self.p, *_poly_mul(self.coefficients, other.coefficients))
+        return _fq(self.p, _poly_mul(self.coefficients, other.coefficients))
 
     def __divmod__(self, other: "FqPolynomial") -> tuple["FqPolynomial", "FqPolynomial"]:
         self._same_field(other)
         if other.is_zero:
             raise DomainError("polynomial division by zero")
         q, r = _poly_divmod(self.coefficients, other.coefficients, self.p)
-        return FqPolynomial(self.p, q), FqPolynomial(self.p, r)
+        return _fq(self.p, q), _fq(self.p, r)
 
     def __mod__(self, other: "FqPolynomial") -> "FqPolynomial":
         return divmod(self, other)[1]
@@ -290,20 +288,28 @@ class FqPolynomial:
         if self.is_zero or self.is_monic:
             return self
         inv = pow(self.leading, -1, self.p)
-        return FqPolynomial(self.p, tuple(c * inv % self.p for c in self.coefficients))
+        return _fq(self.p, [c * inv for c in self.coefficients])
 
     def gcd(self, other: "FqPolynomial") -> "FqPolynomial":
         self._same_field(other)
         a, b = self.coefficients, other.coefficients
         while b:
             a, b = b, _poly_divmod(a, b, self.p)[1]
-        return FqPolynomial(self.p, a).monic()
+        return _fq(self.p, a).monic()
 
     def __call__(self, x: int) -> int:
         return _poly_eval(self.coefficients, x, self.p)
 
     def __str__(self) -> str:
         return _poly_str(self.coefficients, "+")
+
+
+def _fq(p: int, coeffs) -> FqPolynomial:
+    """The FqPolynomial over a checked prime p: int coefficients reduced mod p and trimmed."""
+    cs = [c % p for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return _trusted(FqPolynomial, p=p, coefficients=tuple(cs))
 
 
 def _sieve_work(p: int, max_degree: int) -> int:
@@ -339,7 +345,7 @@ def enumerate_irreducibles(p: int, max_degree: int) -> tuple[FqPolynomial, ...]:
     lower = enumerate_irreducibles(p, max_degree - 1) if max_degree > 1 else ()
     small = [g.coefficients for g in lower if 2 * g.degree <= max_degree]
     candidates = ((*_digits(n, p, max_degree), 1) for n in range(p**max_degree))
-    return lower + tuple(FqPolynomial(p, f) for f in candidates
+    return lower + tuple(_trusted(FqPolynomial, p=p, coefficients=f) for f in candidates
                          if all(_poly_divmod(f, g, p)[1] for g in small))
 
 
@@ -365,7 +371,7 @@ def _trial_divide(m: FqPolynomial) -> dict[FqPolynomial, int]:
             if e:
                 counts[cand] = e
     if len(cs) >= 2:
-        counts[FqPolynomial(p, cs)] = 1
+        counts[_trusted(FqPolynomial, p=p, coefficients=cs)] = 1
     return counts
 
 
@@ -373,7 +379,7 @@ def factor_poly(g: FqPolynomial) -> tuple[int, dict[FqPolynomial, int]]:
     """(unit, {monic irreducible: multiplicity}) with unit in F_p^*."""
     if g.is_zero:
         raise DomainError("zero polynomial has no factorization")
-    return g.leading, _trial_divide(g.monic())
+    return g.leading, _trial_divide(g.monic()) if g.degree else {}
 
 
 @dataclass(frozen=True)
@@ -403,12 +409,8 @@ class RationalFunction:
         g = num.gcd(den)
         if g.degree > 0:
             num, den = num // g, den // g
-        scale = FqPolynomial(den.p, (pow(den.leading, -1, den.p),))
-        # coprime with a monic denominator by construction: skip __post_init__'s second gcd
-        reduced = object.__new__(cls)
-        object.__setattr__(reduced, "num", num * scale)
-        object.__setattr__(reduced, "den", den * scale)
-        return reduced
+        scale = _fq(den.p, (pow(den.leading, -1, den.p),))
+        return _trusted(cls, num=num * scale, den=den * scale)  # coprime, den monic
 
     @property
     def p(self) -> int:
@@ -452,11 +454,12 @@ def local_norms_ff(f) -> list[tuple[Place, Fraction]]:
     if f.is_zero:
         raise DomainError("zero is outside the product formula")
     p = f.p
-    # RationalFunction keeps num and den coprime: no place divides both
+    # RationalFunction keeps num and den coprime: no place divides both; factoring certifies each
     signed = list(factor_poly(f.num)[1].items())
     signed += [(pi, -e) for pi, e in factor_poly(f.den)[1].items()]
     signed.sort(key=lambda kv: (kv[0].degree, kv[0].coefficients[::-1]))
-    out = [(Place.finite_poly(pi), _p_power(p, -pi.degree * e)) for pi, e in signed]
+    out = [(_trusted(Place, kind="finite_poly", poly=pi), _p_power(p, -pi.degree * e))
+           for pi, e in signed]
     out.append((Place.degree_infinity(), _p_power(p, f.num.degree - f.den.degree)))
     return out
 

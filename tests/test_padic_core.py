@@ -967,6 +967,17 @@ def test_a_prime_argument_is_refused_cleanly(call, error):
     assert len(str(info.value)) < 200
 
 
+@pytest.mark.parametrize(
+    "call, kind",
+    [(lambda: require_prime([HUGE]), "list"), (lambda: is_prime((HUGE,)), "tuple")],
+    ids=["require_prime", "is_prime"],
+)
+def test_a_non_int_prime_is_named_by_its_type_not_its_repr(call, kind):
+    # the repr of a container holding an int past 4300 digits would raise ValueError
+    with pytest.raises(NotPrimeError, match=f"^prime expected, got {kind}$"):
+        call()
+
+
 @given(n=st.integers(-(10**60), 10**60) | st.sampled_from([10**4300 - 1, -(10**4300 - 1)]))
 def test_quoting_a_printable_int_quotes_its_decimal_string(n):
     assert quoted(n) == quoted(str(n))
@@ -1115,6 +1126,16 @@ def test_gauss_norm_checks_the_prime_once(monkeypatch):
     for g in (f, RationalPolynomial.of()):
         with pytest.raises(NotPrimeError):
             gauss_norm(g, 4)
+
+
+def test_the_public_constructor_checks_the_prime_once(monkeypatch):
+    import padiclab.padic_core as core
+
+    calls = []
+    monkeypatch.setattr(core, "require_prime", lambda p: calls.append(p) or p)
+    PadicNumber(5, Valuation(2), 7, 3)
+    PadicNumber(5, INFINITY, 0, -4)
+    assert calls == [5, 5]
 
 
 def test_one_polynomial_over_two_denominators_is_equal_and_hashes_alike():

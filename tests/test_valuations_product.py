@@ -414,31 +414,36 @@ def count_calls(monkeypatch, owner, name):
     """A list that grows by one item per call of owner.name, recording its arguments."""
     calls, original = [], getattr(owner, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
     return calls
 
 
+def fq_built(calls) -> int:
+    """How many of the recorded ``_trusted`` calls built an FqPolynomial."""
+    return sum(args[0] is FqPolynomial for args in calls)
+
+
 def test_sieve_builds_polynomials_only_for_its_results(monkeypatch):
     enumerate_irreducibles.cache_clear()
-    built = count_calls(monkeypatch, FqPolynomial, "__post_init__")
+    built = count_calls(monkeypatch, valuations_product, "_trusted")
     polys = enumerate_irreducibles(41, 2)
     assert len(polys) == 41 + necklace_count(41, 2)
-    assert len(built) == len(polys)  # the candidates and the divisions stay tuples
+    assert fq_built(built) == len(polys)  # the candidates and the divisions stay tuples
 
 
 def test_sieve_extends_the_cached_lower_degrees(monkeypatch):
     enumerate_irreducibles.cache_clear()
     lower = enumerate_irreducibles(2, 10)
-    built = count_calls(monkeypatch, FqPolynomial, "__post_init__")
+    built = count_calls(monkeypatch, valuations_product, "_trusted")
     candidates = count_calls(monkeypatch, valuations_product, "_digits")
     polys = enumerate_irreducibles(2, 11)
     assert polys[: len(lower)] == lower
     assert [args[2] for args in candidates] == [11] * 2**11
-    assert len(built) == necklace_count(2, 11) == len(polys) - len(lower)
+    assert fq_built(built) == necklace_count(2, 11) == len(polys) - len(lower)
 
 
 @given(f=fq_poly(3, 5).filter(lambda f: f.degree >= 1))
@@ -541,6 +546,25 @@ def test_ff_local_norms_agree_with_the_fraction_power_route(p):
             e = int(poly_valuation(f, place))
             degree = 1 if place.kind == "degree_infinity" else place.poly.degree
             assert value == Fraction(p) ** (-degree * e) and type(value) is Fraction
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_local_norms_ff_factors_each_polynomial_once(monkeypatch, p):
+    # its places come from that factoring: none is trial-divided again to check it
+    rng = random.Random(p)
+
+    def draw():
+        deg = rng.randint(0, 8)
+        return FqPolynomial.of(p, *[rng.randrange(p) for _ in range(deg)], rng.randint(1, p - 1))
+
+    x = FqPolynomial.x(2)
+    demo = RationalFunction.of(x * x * x + x, x + FqPolynomial.one(2))  # (x^2+x)/1
+    cases = [RationalFunction.of(draw(), draw()) for _ in range(60)]
+    calls = count_calls(monkeypatch, valuations_product, "_trial_divide")
+    for f in ([demo] if p == 2 else []) + cases:
+        calls.clear()
+        local_norms_ff(f)
+        assert len(calls) == (f.num.degree > 0) + (f.den.degree > 0)
 
 
 def test_place_rejects_constant_reducible_and_non_monic_polynomials():
