@@ -2,6 +2,8 @@
 and codes, Pauli/lattice quantum logic, and Borel summation of the Euler
 flow equation."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     AccuracyError,
     DecodeFailureError,
@@ -97,4 +99,5 @@ from .valuations_product import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in sorted(globals().items())
+           if not (name.startswith("_") or isinstance(value, _ModuleType))]

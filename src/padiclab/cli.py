@@ -40,7 +40,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .errors import DomainError, PadiclabError, ResourceLimitError, quoted
+from .errors import DomainError, PadiclabError, ResourceLimitError, max_str_digits, quoted
 from .hensel import hensel_lift, sqrt_padic
 from .hensel_codes import HenselCode, code_add, code_div, code_mul, code_sub, decode, encode
 from .padic_core import (
@@ -48,6 +48,7 @@ from .padic_core import (
     PadicNumber,
     RationalPolynomial,
     _int_valuation,
+    _trim,
     check_seminorm_axioms,
     gauss_norm,
     norm,
@@ -93,8 +94,8 @@ _RESIDUAL_TOL = "1e-16"
 #: samples**2 * ((degree + 1)**2 + _SEMINORM_PAIR) units (see ``_check_seminorm_work``).
 _SEMINORM_WORK = 250_000
 _SEMINORM_PAIR = 8
-#: CPython converts an int of at most 4300 decimal digits to or from text.
-_PRINTABLE = 10**4300
+#: CPython converts an int of at most max_str_digits() decimal digits to or from text.
+_PRINTABLE = 10 ** max_str_digits()
 #: parse_polynomial builds a dense coefficient list up to the largest exponent.
 _MAX_EXPONENT = 10**4
 #: hensel prints x_0, ..., x_k: at most this many residue digits in all.
@@ -115,11 +116,12 @@ def _int_arg(s: str) -> int:
 
 
 def _parse_int(s: str) -> int:
-    """int(s) for a [sign]digits literal, refused past CPython's 4300-digit limit."""
+    """int(s) for a [sign]digits literal, refused past CPython's digit limit."""
     try:
         return int(s)
     except ValueError:
-        raise ResourceLimitError("integer literal exceeds 4300 decimal digits") from None
+        limit = max_str_digits()
+        raise ResourceLimitError(f"integer literal exceeds {limit} decimal digits") from None
 
 
 def parse_rational(s: str) -> Fraction:
@@ -144,7 +146,10 @@ def parse_polynomial(s: str) -> tuple[int, ...]:
     if not compact:
         raise DomainError("empty polynomial")
     coeffs: dict[int, int] = {}
-    for part in re.findall(r"[+-]?[^+-]+", compact):
+    parts = re.findall(r"[+-]?[^+-]+", compact)
+    if "".join(parts) != compact:  # a sign that starts no term
+        raise DomainError(f"cannot parse polynomial {quoted(s)}")
+    for part in parts:
         m = _TERM_RE.fullmatch(part)
         if not m or (m.group(2) is None and m.group(3) is None):
             raise DomainError(f"cannot parse polynomial term {quoted(part)}")
@@ -157,9 +162,7 @@ def parse_polynomial(s: str) -> tuple[int, ...]:
     out = [0] * (max(coeffs) + 1)
     for d, c in coeffs.items():
         out[d] = c
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    return _trim(out)
 
 
 def _strip_parens(s: str) -> str:
@@ -248,7 +251,7 @@ def _check_printable(p: int, e: int) -> None:
     # p**e >= 2**(e * (bits - 1)), so the first test keeps p**e itself small
     if e * (p.bit_length() - 1) >= _PRINTABLE.bit_length() or p**e > _PRINTABLE:
         raise ResourceLimitError(
-            f"p**e exceeds 4300 decimal digits, p = {quoted(p)}, e = {quoted(e)}"
+            f"p**e exceeds {max_str_digits()} decimal digits, p = {quoted(p)}, e = {quoted(e)}"
         )
 
 

@@ -11,10 +11,14 @@ import sys
 _QUOTE_CHARS = 40
 
 
+def max_str_digits() -> int:
+    """CPython's active int <-> str digit limit, at most 4300; 4300 where none is set."""
+    return min(getattr(sys, "get_int_max_str_digits", int)() or 4300, 4300)  # 0: no limit
+
+
 def int_str(n: int) -> str:
-    """``str(n)``; an int past CPython's int-to-str digit limit shows its bit length instead."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit (before 3.10.7)
-    if limit and abs(n) >= 10**limit:  # over ``limit`` digits: str(n) would raise
+    """``str(n)``; an int of over ``max_str_digits()`` digits shows its bit length instead."""
+    if abs(n) >= 10 ** max_str_digits():
         return f"{'-' if n < 0 else ''}<int of {n.bit_length()} bits>"
     return str(n)
 

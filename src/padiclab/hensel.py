@@ -42,6 +42,8 @@ from .padic_core import (
     _digits,
     _poly_derivative,
     _poly_eval,
+    _require_precision,
+    _trim,
     _trusted,
     require_prime,
 )
@@ -51,7 +53,7 @@ ROOT_SCAN_LIMIT = 3 * 2**20
 #: Work units a Newton lift may take (``_check_lift_work``), ~8 ps each on a 2-vCPU host.
 _LIFT_WORK = 10**11
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
-_LIFT_RANGE = "a lift needs k >= 0 and a root in [0, p**(k+1))"
+_LIFT_RANGE = "a lift needs int coefficients, an int k >= 0 and an int root in [0, p**(k+1))"
 
 
 def _integer(c, what: str = "integer coefficients") -> int:
@@ -68,10 +70,7 @@ def _int_coeffs(f) -> tuple[int, ...]:
         if f.den != 1:
             raise DomainError("lifting needs integer coefficients")
         return f.nums  # canonical: no trailing zero
-    coeffs = tuple(map(_integer, f))
-    while coeffs and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
-    return coeffs
+    return _trim(map(_integer, f))
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,9 @@ class LiftTrace:
 
     def __post_init__(self):
         require_prime(self.p)
-        if not (self.k >= 0 and 0 <= self.root < self.p ** (self.k + 1)):
+        k, root, f = self.k, self.root, self.f
+        if not (isinstance(f, tuple) and all(isinstance(x, int) for x in (k, root, *f))
+                and 0 <= k and 0 <= root < self.p ** (k + 1)):
             raise DomainError(_LIFT_RANGE)
 
     @property
@@ -256,8 +257,7 @@ def sqrt_padic(a: int, p: int, r: int) -> list[PadicNumber]:
     if p == 2:
         raise DomainError("square-root lifting needs an odd prime")
     a, r = _integer(a, "an integer a"), _integer(r, "an integer r")
-    if r < 1:
-        raise DomainError("precision must be at least one digit")
+    _require_precision(p, r)
     if a % p == 0:
         raise DomainError(f"gcd(a, {p}) must be 1")
     f = (-a, 0, 1)  # x**2 - a

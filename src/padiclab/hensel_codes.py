@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DecodeFailureError, DomainError, NonEncodableError, ZeroInversionError
-from .padic_core import _digits, _trusted, require_prime
+from .padic_core import _digits, _fraction, _require_precision, _trusted
 
 
 @dataclass(frozen=True)
@@ -29,11 +29,9 @@ class HenselCode:
     value: int
 
     def __post_init__(self):
-        require_prime(self.p)
-        if self.r < 1:
-            raise DomainError("r must be at least 1")
-        if not 0 <= self.value < self.p**self.r:
-            raise DomainError(f"value must lie in [0, {self.p}**{self.r})")
+        _require_precision(self.p, self.r)
+        if not (isinstance(self.value, int) and 0 <= self.value < self.p**self.r):
+            raise DomainError(f"value must be an int in [0, {self.p}**{self.r})")
 
     @property
     def digits(self) -> tuple[int, ...]:
@@ -54,10 +52,8 @@ def farey_bound(p: int, r: int) -> int:
 
 def encode(a, p: int, r: int) -> HenselCode:
     """Encode a rational with p-coprime denominator as a mod-p**r residue."""
-    require_prime(p)
-    if r < 1:
-        raise DomainError("r must be at least 1")
-    a = Fraction(a)
+    _require_precision(p, r)
+    a = _fraction(a)
     if a.denominator % p == 0:
         raise NonEncodableError(
             f"{a} has no {p}-adic integer code: {p} divides the denominator"

@@ -157,7 +157,9 @@ class Valuation:
 
     @classmethod
     def finite(cls, n: int) -> "Valuation":
-        return cls(int(n))
+        if not isinstance(n, int):
+            raise DomainError(f"a finite valuation is an int, got {n!r}")
+        return cls(n)
 
     @property
     def is_infinite(self) -> bool:
@@ -193,6 +195,11 @@ class Valuation:
 INFINITY = Valuation(None)
 
 
+def _fraction(a) -> Fraction:
+    """a as a Fraction: a Fraction as it is, no copy."""
+    return a if isinstance(a, Fraction) else Fraction(a)
+
+
 def nu(a, p: int | None = None) -> Valuation:
     """p-adic valuation of an integer, Fraction, or PadicNumber.
 
@@ -206,8 +213,7 @@ def nu(a, p: int | None = None) -> Valuation:
     if p is None:
         raise DomainError("a prime is required to take the valuation of a rational")
     require_prime(p)
-    if not isinstance(a, Fraction):  # as in norm: no copy of a Fraction
-        a = Fraction(a)
+    a = _fraction(a)
     if a == 0:
         return INFINITY
     return Valuation(_int_valuation(a.numerator, p) - _int_valuation(a.denominator, p))
@@ -231,8 +237,7 @@ def norm(a, p) -> Fraction:
             raise DomainError("a p-adic number has no archimedean absolute value")
         v = nu(a, p)
         return Fraction(0) if v.is_infinite else _p_power(a.p, -v.value)
-    if not isinstance(a, Fraction):  # Fraction(a) of a Fraction only copies it
-        a = Fraction(a)
+    a = _fraction(a)
     if p is ARCHIMEDEAN:
         return abs(a)
     require_prime(p)
@@ -254,6 +259,15 @@ def _digits(value: int, p: int, r: int) -> tuple[int, ...]:
         value, d = divmod(value, p)
         out.append(d)
     return tuple(out)
+
+
+def _trim(cs) -> tuple:
+    """The coefficients as a tuple without trailing zeros: the canonical form."""
+    cs = tuple(cs)
+    n = len(cs)
+    while n and not cs[n - 1]:
+        n -= 1
+    return cs[:n]
 
 
 def _poly_add(a: tuple, b: tuple) -> tuple:
@@ -280,9 +294,7 @@ def _poly_divmod(a: tuple, b: tuple, p: int) -> tuple[tuple, tuple]:
         if c:
             for j, y in enumerate(b, i):
                 rem[j] = (rem[j] - c * y) % p
-    while rem and not rem[-1]:
-        rem.pop()
-    return tuple(q), tuple(rem)
+    return tuple(q), _trim(rem[:db])  # the division left rem[db:] zero
 
 
 def _poly_eval(coeffs: tuple, x, modulus: int | None = None):
@@ -320,8 +332,8 @@ def _poly_str(coeffs: tuple, sep: str) -> str:
 
 def _require_precision(p: int, r: int) -> None:
     require_prime(p)
-    if r < 1:
-        raise DomainError("precision must be at least one digit")
+    if not (isinstance(r, int) and r >= 1):
+        raise DomainError(f"precision must be an integer of at least one digit, got {quoted(r)}")
 
 
 @dataclass(frozen=True)
@@ -342,9 +354,9 @@ class PadicNumber:
 
     def __post_init__(self):
         p, r, u = self.p, self.r, self.unit_value
-        _require_precision(p, 1 if self.v.is_infinite else r)  # a zero O(p**N) takes any N
-        if not isinstance(u, int):
-            raise DomainError(f"unit must be an int, got {u!r}")
+        _require_precision(p, 1 if self.v.is_infinite and isinstance(r, int) else r)  # zero: any N
+        if not (isinstance(u, int) and (self.v.is_infinite or isinstance(self.v.value, int))):
+            raise DomainError(f"unit must be an int and v int or infinite: {quoted(u)}, {self.v}")
         if self.v.is_infinite:
             if u:
                 raise DomainError("zero must carry a zero unit")
@@ -374,7 +386,7 @@ class PadicNumber:
     @classmethod
     def from_rational(cls, a, p: int, r: int) -> "PadicNumber":
         _require_precision(p, r)
-        a = Fraction(a)
+        a = _fraction(a)
         if a == 0:
             return _trusted(cls, p=p, v=INFINITY, unit_value=0, r=r)
         vn, vd = _int_valuation(a.numerator, p), _int_valuation(a.denominator, p)
@@ -490,10 +502,7 @@ def to_expansion_string(x: PadicNumber) -> str:
         raise ExpansionFormatError(
             "only non-negative valuations have a plain digit expansion"
         )
-    plain = [0] * int(x.v) + list(x.unit)
-    while len(plain) > 1 and plain[-1] == 0:
-        plain.pop()
-    head, tail = plain[0], plain[1:]
+    head, *tail = _trim((0,) * int(x.v) + x.unit)  # the unit's first digit is nonzero
     if x.p <= 10:
         return f"{head}," + "".join(str(d) for d in tail)
     return f"{head}," + "'".join(str(d) for d in tail)
@@ -551,15 +560,13 @@ class RationalPolynomial:
     def __post_init__(self):
         if self.nums and self.nums[-1] == 0:
             raise DomainError("trailing zero coefficients must be trimmed")
-        if self.den < 1 or gcd(self.den, *self.nums) != 1:
-            raise DomainError("polynomial must be in lowest terms over a positive denominator")
+        ints = (self.den, *self.nums)
+        if not all(isinstance(n, int) for n in ints) or self.den < 1 or gcd(*ints) != 1:
+            raise DomainError("polynomial must be ints in lowest terms over a positive denominator")
 
     @classmethod
     def _reduced(cls, den: int, nums) -> "RationalPolynomial":
-        nums = list(nums)
-        while nums and nums[-1] == 0:
-            nums.pop()
-        den, nums = _lowest_terms(den, nums)
+        den, nums = _lowest_terms(den, _trim(nums))
         return _trusted(cls, den=den, nums=nums)
 
     @classmethod

@@ -111,10 +111,12 @@ class GaussianMatrix:
     im: tuple[int, ...]
 
     def __post_init__(self):
-        if self.dim < 1 or not len(self.re) == len(self.im) == self.dim**2:
+        if not (isinstance(self.dim, int) and self.dim >= 1
+                and len(self.re) == len(self.im) == self.dim**2):
             raise DomainError("matrix must be square and nonempty")
-        if self.den < 1 or gcd(self.den, *self.re, *self.im) != 1:
-            raise DomainError("matrix must be in lowest terms over a positive denominator")
+        ints = (self.den, *self.re, *self.im)
+        if not all(isinstance(n, int) for n in ints) or self.den < 1 or gcd(*ints) != 1:
+            raise DomainError("matrix must be ints in lowest terms over a positive denominator")
 
     @classmethod
     def _reduced(cls, dim: int, den: int, re, im) -> "GaussianMatrix":
@@ -236,9 +238,9 @@ class PauliElement:
     def __post_init__(self):
         if len(self.xbits) != len(self.zbits) or not self.xbits:
             raise DomainError("xbits and zbits must have equal positive length")
-        if not 0 <= self.phase < 4:
-            raise DomainError("phase must be reduced mod 4")
-        if any(b not in (0, 1) for b in self.xbits + self.zbits):
+        if not (isinstance(self.phase, int) and 0 <= self.phase < 4):
+            raise DomainError("phase must be an int reduced mod 4")
+        if any(not (isinstance(b, int) and b in (0, 1)) for b in self.xbits + self.zbits):
             raise DomainError("bit vectors must be 0/1")
 
     @property

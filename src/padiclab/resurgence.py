@@ -40,7 +40,8 @@ from math import ceil
 
 from mpmath import mp, mpf
 
-from .errors import AccuracyError, DomainError, RangeError, ResourceLimitError, quoted
+from .errors import (AccuracyError, DomainError, RangeError, ResourceLimitError,
+                     max_str_digits, quoted)
 from .padic_core import RationalPolynomial, _poly_eval
 
 #: Working precision of every mpmath evaluation (significant decimal digits).
@@ -57,8 +58,9 @@ MAX_QUADRATURE_T = 10**60
 
 def _unparsable(t, exc: Exception) -> DomainError | ResourceLimitError:
     """The error for a real ``t`` that failed to parse with ``exc``."""
-    if "integer string conversion" in str(exc):  # CPython's 4300-digit int-from-str limit
-        return ResourceLimitError(f"real literal {quoted(t)} exceeds 4300 decimal digits")
+    if "integer string conversion" in str(exc):  # CPython's int-from-str digit limit
+        limit = max_str_digits()
+        return ResourceLimitError(f"real literal {quoted(t)} exceeds {limit} decimal digits")
     return DomainError(f"cannot parse real {quoted(t)}")
 
 

@@ -31,12 +31,14 @@ from .padic_core import (
     _MR_BASES,
     Valuation,
     _digits,
+    _fraction,
     _p_power,
     _poly_add,
     _poly_divmod,
     _poly_eval,
     _poly_mul,
     _poly_str,
+    _trim,
     _trusted,
     is_prime,
     require_prime,
@@ -85,11 +87,11 @@ class PrimeFactorization:
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.sign not in (-1, 1):
+        if not (isinstance(self.sign, int) and self.sign in (-1, 1)):
             raise DomainError("sign must be +1 or -1")
         for p, e in self.factors:
-            if e <= 0:
-                raise DomainError(f"exponent of {p} must be positive")
+            if not (isinstance(e, int) and e > 0):
+                raise DomainError(f"exponent of {p} must be a positive int")
             require_prime(p)
 
     def as_dict(self) -> dict[int, int]:
@@ -189,7 +191,7 @@ def local_norms(a) -> list[tuple[Place, Fraction]]:
     path independent of ``padic_core.norm`` (the two are cross-checked in
     the tests).
     """
-    a = Fraction(a)
+    a = _fraction(a)
     if a == 0:
         raise DomainError("zero is outside the product formula")
     # numerator and denominator are coprime: no prime appears in both
@@ -217,14 +219,14 @@ class FqPolynomial:
 
     def __post_init__(self):
         require_prime(self.p)
-        if any(not (0 <= c < self.p) for c in self.coefficients):
-            raise DomainError(f"coefficients must be residues in [0, {self.p})")
+        if any(not (isinstance(c, int) and 0 <= c < self.p) for c in self.coefficients):
+            raise DomainError(f"coefficients must be int residues in [0, {self.p})")
         if self.coefficients and self.coefficients[-1] == 0:
             raise DomainError("leading coefficient must be nonzero")
 
     @classmethod
     def of(cls, p: int, *coeffs: int) -> "FqPolynomial":
-        return _fq(require_prime(p), coeffs)
+        return cls(require_prime(p), _trim([c % p for c in coeffs]))
 
     @classmethod
     def x(cls, p: int) -> "FqPolynomial":
@@ -306,10 +308,7 @@ class FqPolynomial:
 
 def _fq(p: int, coeffs) -> FqPolynomial:
     """The FqPolynomial over a checked prime p: int coefficients reduced mod p and trimmed."""
-    cs = [c % p for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return _trusted(FqPolynomial, p=p, coefficients=tuple(cs))
+    return _trusted(FqPolynomial, p=p, coefficients=_trim([c % p for c in coeffs]))
 
 
 def _sieve_work(p: int, max_degree: int) -> int:

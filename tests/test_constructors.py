@@ -22,11 +22,18 @@ from pathlib import Path
 import pytest
 
 from padiclab import (
+    INFINITY,
+    DomainError,
     FqPolynomial,
     GaussianMatrix,
+    HenselCode,
+    LiftTrace,
     PadicNumber,
+    PauliElement,
+    PrimeFactorization,
     RationalFunction,
     RationalPolynomial,
+    Valuation,
     code_add,
     code_div,
     code_mul,
@@ -183,6 +190,38 @@ def test_every_library_result_passes_its_public_constructor(name):
     for v in values:
         rebuilt = dataclasses.replace(v)  # runs __init__ and every check
         assert rebuilt == v and hash(rebuilt) == hash(v)
+
+
+#: Public constructors and the named constructors that check their own arguments,
+#: each given one field or argument that is not an int.
+NOT_INTS = {
+    "PadicNumber r": lambda: PadicNumber(5, Valuation(0), 1, 2.0),
+    "PadicNumber zero r": lambda: PadicNumber(5, INFINITY, 0, 2.0),
+    "PadicNumber v": lambda: PadicNumber(5, Valuation(0.5), 1, 2),
+    "PadicNumber.from_rational r": lambda: PadicNumber.from_rational(Fraction(1, 3), 5, 2.0),
+    "encode r": lambda: encode(Fraction(2, 3), 5, 2.0),
+    "HenselCode r": lambda: HenselCode(5, 2.0, 3),
+    "HenselCode value": lambda: HenselCode(5, 2, 3.5),
+    "FqPolynomial.of coefficient": lambda: FqPolynomial.of(5, 1.5, 1),
+    "FqPolynomial coefficient": lambda: FqPolynomial(5, (2.5, 1)),
+    "LiftTrace root": lambda: LiftTrace(7, (-2, 0, 1), 2, 108.0),
+    "LiftTrace k": lambda: LiftTrace(7, (-2, 0, 1), 2.0, 108),
+    "LiftTrace f": lambda: LiftTrace(7, (-2.0, 0, 1), 2, 108),
+    "PauliElement phase": lambda: PauliElement(0.5, (1,), (0,)),
+    "PauliElement bit": lambda: PauliElement(0, (1.0,), (0,)),
+    "PrimeFactorization exponent": lambda: PrimeFactorization(1, ((2, 1.5),)),
+    "PrimeFactorization sign": lambda: PrimeFactorization(1.0, ()),
+    "Valuation.finite": lambda: Valuation.finite(1.5),
+    "GaussianMatrix entry": lambda: GaussianMatrix(1, 1, (1.0,), (0,)),
+    "GaussianMatrix dim": lambda: GaussianMatrix(1.0, 1, (1,), (0,)),
+    "RationalPolynomial numerator": lambda: RationalPolynomial(1, (1.5,)),
+}
+
+
+@pytest.mark.parametrize("build", NOT_INTS.values(), ids=NOT_INTS.keys())
+def test_a_field_that_is_not_an_int_is_refused(build):
+    with pytest.raises(DomainError):
+        build()
 
 
 class _Scan(ast.NodeVisitor):

@@ -18,6 +18,7 @@ replaces it and the ``perfbench/`` file that blocks that change.
 from __future__ import annotations
 
 import ast
+import importlib
 import io
 import sys
 from collections import Counter
@@ -30,7 +31,7 @@ from typing import Callable
 import pytest
 
 from padiclab import cli, hensel, padic_core, quantum_logic, resurgence, valuations_product
-from padiclab.errors import ResourceLimitError
+from padiclab.errors import ResourceLimitError, max_str_digits
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "padiclab"
@@ -328,3 +329,36 @@ def test_each_stand_in_names_its_roadmap_item_and_blocking_benchmark_file():
         assert f"### {item.removeprefix('ROADMAP item ')}." in roadmap
         assert (ROOT / blocker.split()[0]).is_file()
     assert all(g.blocked_by is None for g in GUARDS if g.kind != "stand-in")
+
+
+@pytest.mark.skipif(not INT_DIGIT_CAP, reason="no int <-> str digit limit before Python 3.10.7")
+def test_the_digit_limit_is_the_active_one_capped_at_4300():
+    before = sys.get_int_max_str_digits()
+    try:
+        for limit, expected in ((0, 4300), (1000, 1000), (4300, 4300), (5000, 4300)):
+            sys.set_int_max_str_digits(limit)
+            assert max_str_digits() == expected
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.skipif(not INT_DIGIT_CAP, reason="no int <-> str digit limit before Python 3.10.7")
+@pytest.mark.parametrize("argv", [
+    ("hensel", "--poly", "x^2+x+2", "--p", "2", "--x0", "0", "--k", "4000"),
+    ("code", "encode", "2/3", "--p", "2", "--r", "5000"),
+])
+def test_the_print_guard_follows_a_lowered_digit_limit(argv):
+    # cli reads the limit into _PRINTABLE at import, so it is imported again under each limit
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    try:
+        importlib.reload(cli)
+        assert cli._PRINTABLE == 10**1000
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(list(argv))
+    finally:
+        sys.set_int_max_str_digits(before)
+        importlib.reload(cli)
+    assert (code, out.getvalue()) == (3, "")
+    assert err.getvalue().count("\n") == 1 and "exceeds 1000 decimal digits" in err.getvalue()

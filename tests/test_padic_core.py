@@ -1166,3 +1166,15 @@ def test_one_polynomial_over_two_denominators_is_equal_and_hashes_alike():
 def test_non_canonical_polynomial_is_rejected(den, nums):
     with pytest.raises(DomainError):
         RationalPolynomial(den, nums)
+
+
+def test_star_import_exports_the_public_names_and_no_submodule():
+    import padiclab
+
+    namespace: dict = {}
+    exec("from padiclab import *", namespace)
+    exported = {name for name in namespace if name != "__builtins__"}
+    assert exported == set(padiclab.__all__)
+    assert {"PadicNumber", "encode", "DomainError", "ARCHIMEDEAN"} <= exported
+    assert not {"errors", "hensel", "padic_core", "valuations_product"} & exported
+    assert not [name for name in exported if type(namespace[name]) is type(padiclab)]
