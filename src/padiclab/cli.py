@@ -22,7 +22,9 @@ Arguments that begin with ``-`` (negative rationals) must follow a ``--``
 separator, e.g. ``padiclab norm --archimedean -- -3/4``.
 
 The argparse tree is built once per process; each ``main()`` call parses with
-a fresh copy of its top-level parser and reads the environment anew.
+a fresh copy of its top-level parser and reads the environment anew.  A
+request that names a leaf is parsed by that leaf's parser alone; argparse's
+walk down the tree serves help and usage errors.
 """
 
 from __future__ import annotations
@@ -585,10 +587,40 @@ def leaf(subs, name, handler, *positionals, p=False, r=False, **kwargs):
     return sp
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that hands a request naming one of its subcommands straight to it.
+
+    argparse's own walk scans and classifies the whole argv at every level
+    above the leaf, which then parses the same words again.  Here each level
+    sets its subcommand's dest and passes the rest on, so the leaf parser
+    alone parses a request.  Any other input (help, a missing or unknown
+    subcommand, an option before it) takes argparse's walk and its messages.
+    """
+
+    _subcommands = None  # the action add_subparsers returned
+
+    def add_subparsers(self, **kwargs):
+        self._subcommands = super().add_subparsers(**kwargs)
+        return self._subcommands
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        subs = self._subcommands
+        parser = subs.choices.get(args[0]) if subs and args else None
+        if parser is None:
+            return super().parse_known_args(args, namespace)
+        namespace = argparse.Namespace() if namespace is None else namespace
+        setattr(namespace, subs.dest, args[0])
+        parsed, extras = parser.parse_known_args(args[1:])
+        for key, value in vars(parsed).items():
+            setattr(namespace, key, value)
+        return namespace, extras
+
+
 @functools.cache
 def _parser_tree() -> argparse.ArgumentParser:
     """The whole argparse tree, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="padiclab",
         description="Exact p-adic arithmetic, product formulas, Hensel codes, "
         "Pauli/lattice quantum logic, and Borel summation.",

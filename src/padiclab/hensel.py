@@ -84,10 +84,12 @@ class LiftTrace:
 
     def __post_init__(self):
         require_prime(self.p)
-        k, root, f = self.k, self.root, self.f
+        p, k, root, f = self.p, self.k, self.root, self.f
         if not (isinstance(f, tuple) and all(isinstance(x, int) for x in (k, root, *f))
-                and 0 <= k and 0 <= root < self.p ** (k + 1)):
+                and 0 <= k and 0 <= root < p ** (k + 1)):
             raise DomainError(_LIFT_RANGE)
+        if _poly_eval(f, root, p ** (k + 1)) or not _poly_eval(_poly_derivative(f), root, p):
+            raise DomainError(f"root must be a simple root of f mod {p}**{k + 1}")
 
     @property
     def digits(self) -> tuple[int, ...]:

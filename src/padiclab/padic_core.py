@@ -353,6 +353,8 @@ class PadicNumber:
     r: int
 
     def __post_init__(self):
+        if not isinstance(self.v, Valuation):
+            raise DomainError(f"v must be a Valuation, got {quoted(self.v)}")
         p, r, u = self.p, self.r, self.unit_value
         _require_precision(p, 1 if self.v.is_infinite and isinstance(r, int) else r)  # zero: any N
         if not (isinstance(u, int) and (self.v.is_infinite or isinstance(self.v.value, int))):

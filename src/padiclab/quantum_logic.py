@@ -236,12 +236,14 @@ class PauliElement:
     zbits: tuple[int, ...]
 
     def __post_init__(self):
+        if not (isinstance(self.xbits, tuple) and isinstance(self.zbits, tuple)):
+            raise DomainError("xbits and zbits must be tuples")
         if len(self.xbits) != len(self.zbits) or not self.xbits:
             raise DomainError("xbits and zbits must have equal positive length")
         if not (isinstance(self.phase, int) and 0 <= self.phase < 4):
             raise DomainError("phase must be an int reduced mod 4")
-        if any(not (isinstance(b, int) and b in (0, 1)) for b in self.xbits + self.zbits):
-            raise DomainError("bit vectors must be 0/1")
+        if any(type(b) is not int or b not in (0, 1) for b in self.xbits + self.zbits):
+            raise DomainError("bit vectors must be 0/1 ints")
 
     @property
     def n(self) -> int:
@@ -282,7 +284,10 @@ class PauliElement:
 
 
 def _mask(bits: tuple[int, ...]) -> int:
-    return int("".join(map(str, bits)), 2)
+    mask = 0
+    for b in bits:
+        mask = mask << 1 | b
+    return mask
 
 
 def pauli_mul(x: PauliElement, y: PauliElement) -> PauliElement:

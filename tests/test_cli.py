@@ -1231,3 +1231,74 @@ def test_cli_surface_is_pinned():
             assert options == set(), path
     assert leaves == LEAVES
     assert groups == GROUPS
+
+
+# ---------------------------------------------------------------------------
+# One-level parse: a leaf request is parsed by its leaf parser alone
+# ---------------------------------------------------------------------------
+
+with open(Path(__file__).resolve().parent.parent / "perfbench" / "golden.json") as fh:
+    GOLDEN_ARGV = [r["argv"] for r in json.load(fh)]  # the demo requests and the refusals
+# help and usage errors, which take argparse's own walk, and the ``--`` forms
+USAGE_ARGV = [
+    [], ["-h"], ["code"], ["code", "-h"], ["code", "add"],
+    ["code", "--json", "encode", "1", "--p", "5"], ["valuation", "3"],
+    ["valuation", "3", "--p", "5", "extra"], ["bogus"], ["--json", "valuation", "3", "--p", "5"],
+    ["lattice", "check", "--named", "x"], ["pauli", "order", "--n", "2", "-h"],
+]
+SEPARATOR_ARGV = [
+    ["norm", "--archimedean", "--", "-3/4"], ["product-formula", "--json", "--", "-24/17"],
+]
+
+
+def one_request(argv):
+    """(parsed namespace or None, exit code, stdout, stderr) of one request."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            parsed = vars(build_parser().parse_args(argv))
+            code = main(list(argv))
+        except SystemExit as exc:
+            return None, exc.code, out.getvalue(), err.getvalue()
+    return parsed, code, out.getvalue(), err.getvalue()
+
+
+def test_the_equivalence_argv_name_every_leaf():
+    leaves = {path for path, _, subs in walk_parsers(cli._parser_tree()) if subs is None}
+    named = {tuple(argv[:len(path)]) for argv in GOLDEN_ARGV for path in leaves}
+    assert leaves <= named
+
+
+@pytest.mark.parametrize(
+    "argv", GOLDEN_ARGV + USAGE_ARGV + SEPARATOR_ARGV, ids=lambda argv: " ".join(argv) or "-"
+)
+def test_one_level_parse_matches_the_argparse_walk(argv, monkeypatch):
+    for name in ("PADICLAB_PRECISION", "PADICLAB_TOLERANCE"):
+        monkeypatch.delenv(name, raising=False)
+    fast = one_request(argv)
+    monkeypatch.setattr(cli._Parser, "parse_known_args", argparse.ArgumentParser.parse_known_args)
+    assert one_request(argv) == fast
+
+
+@pytest.mark.parametrize("argv", GOLDEN_ARGV, ids=" ".join)
+def test_a_leaf_request_is_parsed_once(argv, monkeypatch):
+    calls = []
+    parse = argparse.ArgumentParser._parse_known_args
+    monkeypatch.setattr(
+        argparse.ArgumentParser,
+        "_parse_known_args",
+        lambda self, *args, **kwargs: calls.append(self.prog) or parse(self, *args, **kwargs),
+    )
+    build_parser().parse_args(argv)
+    (prog,) = calls  # argparse's walk parses at every level: 2 calls for a top leaf, 3 below
+    leaves = {path for path, _, subs in walk_parsers(cli._parser_tree()) if subs is None}
+    assert tuple(prog.split()[1:]) in leaves and argv[:len(prog.split()) - 1] == prog.split()[1:]
+
+
+def test_a_usage_error_in_a_fresh_process_reads_sys_argv():
+    proc = subprocess.run(
+        [sys.executable, "-m", "padiclab", "code"], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: padiclab code")

@@ -266,3 +266,23 @@ def test_only_trusted_builds_around_init():
 
 def test_every_type_built_trusted_has_a_census_row():
     assert scan_src().built == set(RESULTS)
+
+
+#: Public constructors given fields of the right kind that break the type's shape or
+#: meaning: a bool or a list for a bit vector, a lift to a non-root or a singular
+#: root, and a bare int for a valuation.
+NOT_VALUES = {
+    "PauliElement bool bit": lambda: PauliElement(0, (True,), (False,)),
+    "PauliElement list bits": lambda: PauliElement(0, [1], [0]),
+    "LiftTrace root of no lift": lambda: LiftTrace(7, (-2, 0, 1), 2, 5),
+    "LiftTrace root mod p only": lambda: LiftTrace(7, (-2, 0, 1), 2, 3),
+    "LiftTrace singular root": lambda: LiftTrace(2, (-2, 0, 1), 0, 0),
+    "PadicNumber v": lambda: PadicNumber(5, 0, 1, 2),
+}
+
+
+@pytest.mark.parametrize("build", NOT_VALUES.values(), ids=NOT_VALUES.keys())
+def test_a_field_that_breaks_the_invariant_is_refused(build):
+    with pytest.raises(DomainError):
+        build()
+
