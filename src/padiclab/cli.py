@@ -588,13 +588,11 @@ def leaf(subs, name, handler, *positionals, p=False, r=False, **kwargs):
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser that hands a request naming one of its subcommands straight to it.
+    """Hands a request that names one of its subcommands straight to that subparser.
 
-    argparse's own walk scans and classifies the whole argv at every level
-    above the leaf, which then parses the same words again.  Here each level
-    sets its subcommand's dest and passes the rest on, so the leaf parser
-    alone parses a request.  Any other input (help, a missing or unknown
-    subcommand, an option before it) takes argparse's walk and its messages.
+    argparse's own walk classifies the whole argv at every level above the
+    leaf; help, a missing or unknown subcommand, or an option before it
+    still take that walk, so argparse's messages stay its own.
     """
 
     _subcommands = None  # the action add_subparsers returned
