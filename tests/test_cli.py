@@ -1264,9 +1264,8 @@ def one_request(argv):
 
 
 def test_the_equivalence_argv_name_every_leaf():
-    leaves = {path for path, _, subs in walk_parsers(cli._parser_tree()) if subs is None}
-    named = {tuple(argv[:len(path)]) for argv in GOLDEN_ARGV for path in leaves}
-    assert leaves <= named
+    # LEAVES is every leaf of the tree (test_cli_surface_is_pinned)
+    assert set(LEAVES) <= {tuple(argv[:len(path)]) for argv in GOLDEN_ARGV for path in LEAVES}
 
 
 @pytest.mark.parametrize(
@@ -1291,8 +1290,8 @@ def test_a_leaf_request_is_parsed_once(argv, monkeypatch):
     )
     build_parser().parse_args(argv)
     (prog,) = calls  # argparse's walk parses at every level: 2 calls for a top leaf, 3 below
-    leaves = {path for path, _, subs in walk_parsers(cli._parser_tree()) if subs is None}
-    assert tuple(prog.split()[1:]) in leaves and argv[:len(prog.split()) - 1] == prog.split()[1:]
+    path = prog.split()[1:]
+    assert tuple(path) in LEAVES and argv[:len(path)] == path
 
 
 def test_a_usage_error_in_a_fresh_process_reads_sys_argv():

@@ -285,4 +285,3 @@ NOT_VALUES = {
 def test_a_field_that_breaks_the_invariant_is_refused(build):
     with pytest.raises(DomainError):
         build()
-
