@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import sys
 
-from padiclab.cli import main
+from padiclab.cli import entry, main
 
 COMMANDS: list[list[str]] = [
     ["expand", "216", "--p", "2"],
@@ -73,4 +73,4 @@ def run() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    sys.exit(entry(run))

@@ -11,9 +11,14 @@ structured output whose shape is pinned by the schemas under ``schemas/v1/``.
 Conventions: exact rationals appear in JSON as {"num", "den"} string pairs;
 high-precision reals as decimal strings; identical invocations produce
 identical bytes.  Exit codes: 0 success, 1 domain error (including an
-unparsable rational or real), 2 usage error, 3 resource limit (for example
+unparsable rational or real) or a failed write to stdout (a closed pipe, a
+full disk: ``output_error``), 2 usage error, 3 resource limit (for example
 ``pauli basis-check`` beyond n = 4).  Errors go to stderr as one line (JSON
-mode: an object with ``error`` and ``error_code``).
+mode: an object with ``error`` and ``error_code``).  Every way the program
+starts (the ``padiclab`` script, ``python -m padiclab`` or ``padiclab.cli``,
+``scripts/demo.py``) goes through ``entry``, which writes stdout and stderr as
+UTF-8 whatever the locale or ``PYTHONIOENCODING``; ``main`` writes to whatever
+``sys.stdout`` is.
 
 Defaults r=8 (``--r`` of expand, sqrt and every code subcommand) and
 tolerance 1e-10 (``borel --tol``) can be overridden per invocation or by the
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import errno
 import functools
 import json
 import math
@@ -715,17 +721,41 @@ def main(argv=None) -> int:
     try:
         payload, text = args.handler(args)
     except PadiclabError as exc:
-        if args.json:
-            print(
-                json.dumps({"error": str(exc), "error_code": exc.code}, sort_keys=True),
-                file=sys.stderr,
-            )
-        else:
-            print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc, exc.code, args.json)
         return 3 if isinstance(exc, ResourceLimitError) else 1
     print(json.dumps(payload, sort_keys=True) if args.json else text)
     return 0
 
 
+def _print_error(message, code: str, as_json: bool) -> None:
+    """The one stderr line of an error: ``error: ...``, or an object with its ``error_code``."""
+    error = {"error": str(message), "error_code": code}
+    print(json.dumps(error, sort_keys=True) if as_json else f"error: {message}", file=sys.stderr)
+
+
+def entry(request=main) -> int:
+    """Run ``request()`` as the process: the console script, ``python -m`` and the demo.
+
+    stdout and stderr write UTF-8 whatever the locale or ``PYTHONIOENCODING``.  An
+    ``OSError`` on writing stdout (a closed pipe, a full disk) ends in one
+    ``output_error`` line and exit 1, with stdout pointed at ``os.devnull`` so the
+    flush at interpreter exit cannot fail again (the ``signal`` docs' note on SIGPIPE).
+    """
+    sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
+    try:
+        if sys.stdout is None:  # started with fd 1 closed, where print drops every line
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        sys.stdout.reconfigure(encoding="utf-8")
+        try:
+            return request()
+        finally:
+            sys.stdout.flush()  # a write that fails here still lands in the except
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        _print_error(f"cannot write stdout: {exc.strerror or exc}", "output_error",
+                     "--json" in sys.argv)
+        return 1
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -155,6 +155,10 @@ class Valuation:
 
     value: int | None
 
+    def __post_init__(self):
+        if not (self.value is None or type(self.value) is int):
+            raise DomainError(f"a valuation is an int or None, got {type(self.value).__name__}")
+
     @classmethod
     def finite(cls, n: int) -> "Valuation":
         if not isinstance(n, int):
@@ -168,12 +172,12 @@ class Valuation:
     def __add__(self, other: "Valuation") -> "Valuation":
         if self.is_infinite or other.is_infinite:
             return INFINITY
-        return Valuation(self.value + other.value)
+        return _trusted(Valuation, value=self.value + other.value)
 
     def __neg__(self) -> "Valuation":
         if self.is_infinite:
             raise DomainError("cannot negate the infinite valuation")
-        return Valuation(-self.value)
+        return _trusted(Valuation, value=-self.value)
 
     def __lt__(self, other: "Valuation") -> bool:
         if self.is_infinite:
@@ -192,7 +196,7 @@ class Valuation:
 
 
 #: The valuation of zero.
-INFINITY = Valuation(None)
+INFINITY = _trusted(Valuation, value=None)
 
 
 def _fraction(a) -> Fraction:
@@ -216,7 +220,8 @@ def nu(a, p: int | None = None) -> Valuation:
     a = _fraction(a)
     if a == 0:
         return INFINITY
-    return Valuation(_int_valuation(a.numerator, p) - _int_valuation(a.denominator, p))
+    v = _int_valuation(a.numerator, p) - _int_valuation(a.denominator, p)
+    return _trusted(Valuation, value=v)
 
 
 def _p_power(p: int, e: int) -> Fraction:
@@ -357,8 +362,8 @@ class PadicNumber:
             raise DomainError(f"v must be a Valuation, got {quoted(self.v)}")
         p, r, u = self.p, self.r, self.unit_value
         _require_precision(p, 1 if self.v.is_infinite and isinstance(r, int) else r)  # zero: any N
-        if not (isinstance(u, int) and (self.v.is_infinite or isinstance(self.v.value, int))):
-            raise DomainError(f"unit must be an int and v int or infinite: {quoted(u)}, {self.v}")
+        if not isinstance(u, int):  # v is int or infinite: Valuation checks itself
+            raise DomainError(f"unit must be an int, got {quoted(u)}")
         if self.v.is_infinite:
             if u:
                 raise DomainError("zero must carry a zero unit")
@@ -383,7 +388,8 @@ class PadicNumber:
         if n == 0:
             return _trusted(cls, p=p, v=INFINITY, unit_value=0, r=r)
         v = _int_valuation(n, p)
-        return _trusted(cls, p=p, v=Valuation(v), unit_value=(n // p**v) % p**r, r=r)
+        u = (n // p**v) % p**r
+        return _trusted(cls, p=p, v=_trusted(Valuation, value=v), unit_value=u, r=r)
 
     @classmethod
     def from_rational(cls, a, p: int, r: int) -> "PadicNumber":
@@ -393,7 +399,7 @@ class PadicNumber:
             return _trusted(cls, p=p, v=INFINITY, unit_value=0, r=r)
         vn, vd = _int_valuation(a.numerator, p), _int_valuation(a.denominator, p)
         u = a.numerator // p**vn * pow(a.denominator // p**vd, -1, p**r) % p**r
-        return _trusted(cls, p=p, v=Valuation(vn - vd), unit_value=u, r=r)
+        return _trusted(cls, p=p, v=_trusted(Valuation, value=vn - vd), unit_value=u, r=r)
 
     @classmethod
     def _from_residue(cls, p: int, x: int, n: int, e: int = 0) -> "PadicNumber":
@@ -402,7 +408,8 @@ class PadicNumber:
         if x == 0:
             return _trusted(cls, p=p, v=INFINITY, unit_value=0, r=n)
         s = _int_valuation(x, p)
-        return _trusted(cls, p=p, v=Valuation(e + s), unit_value=x // p**s, r=n - e - s)
+        v = _trusted(Valuation, value=e + s)
+        return _trusted(cls, p=p, v=v, unit_value=x // p**s, r=n - e - s)
 
     # -- structure ---------------------------------------------------------
 
@@ -470,7 +477,8 @@ class PadicNumber:
         if self.is_zero:
             raise ZeroInversionError("zero has no p-adic inverse")
         u = pow(self.unit_value, -1, self.p**self.r)
-        return _trusted(PadicNumber, p=self.p, v=Valuation(-self.v.value), unit_value=u, r=self.r)
+        v = _trusted(Valuation, value=-self.v.value)
+        return _trusted(PadicNumber, p=self.p, v=v, unit_value=u, r=self.r)
 
     def sub(self, other: "PadicNumber") -> "PadicNumber":
         self._check_compatible(other)

@@ -42,10 +42,14 @@ from .padic_core import _lowest_terms, _over_one_den, _trusted, require_prime
 
 @dataclass(frozen=True)
 class GaussianRational:
-    """a + b*i with exact rational a, b."""
+    """a + b*i with exact rational a, b: each an int or a Fraction."""
 
     re: Fraction
     im: Fraction
+
+    def __post_init__(self):
+        if not all(type(q) is int or isinstance(q, Fraction) for q in (self.re, self.im)):
+            raise DomainError("the parts of a Gaussian rational must be ints or Fractions")
 
     @classmethod
     def of(cls, re, im=0) -> "GaussianRational":
@@ -56,30 +60,32 @@ class GaussianRational:
         return self.re == 0 and self.im == 0
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _trusted(GaussianRational, re=self.re, im=-self.im)
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        return _trusted(GaussianRational, re=self.re + other.re, im=self.im + other.im)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return _trusted(GaussianRational, re=self.re - other.re, im=self.im - other.im)
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _trusted(GaussianRational, re=-self.re, im=-self.im)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
+        return _trusted(
+            GaussianRational,
+            re=self.re * other.re - self.im * other.im,
+            im=self.re * other.im + self.im * other.re,
         )
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        d = other.re * other.re + other.im * other.im
+        d = Fraction(other.re * other.re + other.im * other.im)  # int parts divide exactly too
         if d == 0:
             raise DomainError("division by zero")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
+        return _trusted(
+            GaussianRational,
+            re=(self.re * other.re + self.im * other.im) / d,
+            im=(self.im * other.re - self.re * other.im) / d,
         )
 
     def __str__(self) -> str:
@@ -147,7 +153,8 @@ class GaussianMatrix:
     @property
     def rows(self) -> tuple[tuple[GaussianRational, ...], ...]:
         n, d = self.dim, self.den
-        flat = [GaussianRational(Fraction(a, d), Fraction(b, d)) for a, b in zip(self.re, self.im)]
+        flat = [_trusted(GaussianRational, re=Fraction(a, d), im=Fraction(b, d))
+                for a, b in zip(self.re, self.im)]
         return tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n))
 
     def _same_dim(self, other: "GaussianMatrix") -> int:
@@ -197,9 +204,8 @@ class GaussianMatrix:
 
     def trace(self) -> GaussianRational:
         step = self.dim + 1
-        return GaussianRational(
-            Fraction(sum(self.re[::step]), self.den), Fraction(sum(self.im[::step]), self.den)
-        )
+        return _trusted(GaussianRational, re=Fraction(sum(self.re[::step]), self.den),
+                        im=Fraction(sum(self.im[::step]), self.den))
 
     def kron(self, other: "GaussianMatrix") -> "GaussianMatrix":
         n, m = self.dim, other.dim
@@ -214,7 +220,8 @@ class GaussianMatrix:
 
     def scalar_multiple_of_identity(self) -> GaussianRational | None:
         """The scalar c with self == c*I, or None."""
-        c = GaussianRational(Fraction(self.re[0], self.den), Fraction(self.im[0], self.den))
+        c = _trusted(GaussianRational, re=Fraction(self.re[0], self.den),
+                     im=Fraction(self.im[0], self.den))
         return c if self == GaussianMatrix.identity(self.dim).scale(c) else None
 
 
@@ -369,7 +376,7 @@ def decompose_in_pauli_basis(m: GaussianMatrix, n: int = 1) -> dict[PauliElement
         re = sum(r * m.re[k] + s * m.im[k] for k, r, s in support)
         im = sum(r * m.im[k] - s * m.re[k] for k, r, s in support)
         if re or im:
-            out[b] = GaussianRational(Fraction(re, den), Fraction(im, den))
+            out[b] = _trusted(GaussianRational, re=Fraction(re, den), im=Fraction(im, den))
     return out
 
 

@@ -42,7 +42,7 @@ from mpmath import mp, mpf
 
 from .errors import (AccuracyError, DomainError, RangeError, ResourceLimitError,
                      max_str_digits, quoted)
-from .padic_core import RationalPolynomial, _poly_eval
+from .padic_core import RationalPolynomial, _poly_eval, _trusted
 
 #: Working precision of every mpmath evaluation (significant decimal digits).
 WORKING_DPS = 40
@@ -87,8 +87,14 @@ class EulerSeries:
     order: int
     coefficients: tuple[int, ...]
 
+    def __post_init__(self):
+        if self != EulerSeries.up_to(self.order):
+            raise DomainError("the coefficients must be (-1)**m * m! for m = 0, ..., order")
+
     @classmethod
     def up_to(cls, order: int) -> "EulerSeries":
+        if type(order) is not int:
+            raise DomainError(f"the series order must be an int, got {type(order).__name__}")
         if order < 0:
             raise DomainError("order must be >= 0")
         if order > MAX_SERIES_ORDER:
@@ -98,7 +104,7 @@ class EulerSeries:
         cs = [1]
         for m in range(1, order + 1):
             cs.append(-cs[-1] * m)
-        return cls(order, tuple(cs))
+        return _trusted(cls, order=order, coefficients=tuple(cs))
 
     def as_polynomial(self) -> RationalPolynomial:
         """The partial sum S_N(t) as an exact polynomial in t."""

@@ -441,9 +441,9 @@ def poly_valuation(f, place: Place) -> Valuation:
     if place.kind == "finite_poly":
         place.poly._same_field(f.num)
         e = [_multiplicity(h.coefficients, place.poly.coefficients, f.p)[0] for h in (f.num, f.den)]
-        return Valuation(e[0] - e[1])
+        return _trusted(Valuation, value=e[0] - e[1])
     if place.kind == "degree_infinity":
-        return Valuation(f.den.degree - f.num.degree)
+        return _trusted(Valuation, value=f.den.degree - f.num.degree)
     raise DomainError(f"{place} is not a place of F_p(x)")
 
 

@@ -15,13 +15,14 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from jsonschema import Draft202012Validator
 
-from padiclab import ResourceLimitError, cli, hensel, valuations_product
-from padiclab.cli import build_parser, main, parse_polynomial
+from padiclab import GaussianRational, ResourceLimitError, cli, hensel, valuations_product
+from padiclab.cli import build_parser, main, parse_gaussian, parse_polynomial
 from padiclab.hensel import hensel_lift
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas" / "v1"
@@ -1301,3 +1302,15 @@ def test_a_usage_error_in_a_fresh_process_reads_sys_argv():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("usage: padiclab code")
+
+
+@pytest.mark.parametrize(
+    "text, re, im",
+    [("2", 2, 0), ("-1/2", Fraction(-1, 2), 0), ("i", 0, 1), ("+i", 0, 1), ("-i", 0, -1),
+     ("3+i", 3, 1), ("3-i", 3, -1), ("4/5i", 0, Fraction(4, 5)), ("-4/5i", 0, Fraction(-4, 5)),
+     ("3/5+4/5i", Fraction(3, 5), Fraction(4, 5)), ("1 - 2i", 1, -2)],
+)
+def test_a_matrix_entry_parses_to_its_gaussian_rational(text, re, im):
+    z = parse_gaussian(text)
+    assert z == GaussianRational(re, im)
+    assert str(z) == text.replace(" ", "").lstrip("+")

@@ -24,6 +24,7 @@ import pytest
 from padiclab import (
     INFINITY,
     DomainError,
+    EulerSeries,
     FqPolynomial,
     GaussianMatrix,
     HenselCode,
@@ -46,9 +47,12 @@ from padiclab import (
     local_norms,
     local_norms_ff,
     parse_expansion_string,
+    decompose_in_pauli_basis,
+    nu,
     pauli_basis,
     pauli_generators,
     pauli_mul,
+    poly_valuation,
     sqrt_padic,
 )
 from padiclab.quantum_logic import GaussianRational
@@ -169,6 +173,39 @@ def pauli_elements(rng):
     return out
 
 
+def valuations(rng):
+    out = [INFINITY]
+    for _ in range(20):
+        a, p = rational(rng), rng.choice(PRIMES)
+        v, w = nu(a, p), nu(rational(rng), p)
+        out += [v, v + w, v + INFINITY, -v, nu(0, p)]
+        x = PadicNumber.from_rational(a, p, rng.randint(1, 9))
+        out += [x.v, x.inv().v, (x * x).v, (x - x).v, PadicNumber.from_integer(a.numerator, p, 3).v]
+        f = rational_function(rng)
+        if not f.is_zero:
+            out += [poly_valuation(f, place) for place, _ in local_norms_ff(f)
+                    if place.kind != "finite"]
+    return out
+
+
+def gaussian_rationals(rng):
+    out = []
+    for m in gaussian_matrices(rng)[:12]:
+        entries = [z for row in m.rows for z in row]
+        out += entries + [m.trace()]
+        if m.dim in (2, 4):
+            out += decompose_in_pauli_basis(m, m.dim.bit_length() - 1).values()
+        z, w = entries[0], entries[-1]
+        out += [z + w, z - w, z * w, -z, z.conjugate()]
+        out += [z / w] if not w.is_zero else []
+    out += [GaussianMatrix.identity(2).scale(out[0]).scalar_multiple_of_identity()]
+    return out
+
+
+def euler_series(rng):
+    return [EulerSeries.up_to(order) for order in [*range(20), rng.randint(20, 500)]]
+
+
 RESULTS = {
     "PadicNumber": padic_numbers,
     "RationalPolynomial": rational_polynomials,
@@ -180,6 +217,9 @@ RESULTS = {
     "HenselCode": hensel_codes,
     "LiftTrace": lift_traces,
     "PauliElement": pauli_elements,
+    "Valuation": valuations,
+    "GaussianRational": gaussian_rationals,
+    "EulerSeries": euler_series,
 }
 
 
@@ -270,7 +310,8 @@ def test_every_type_built_trusted_has_a_census_row():
 
 #: Public constructors given fields of the right kind that break the type's shape or
 #: meaning: a bool or a list for a bit vector, a lift to a non-root or a singular
-#: root, and a bare int for a valuation.
+#: root, a bare int for a valuation, a float, str or bool for a valuation or a
+#: Gaussian part, and a series that is not the Euler series.
 NOT_VALUES = {
     "PauliElement bool bit": lambda: PauliElement(0, (True,), (False,)),
     "PauliElement list bits": lambda: PauliElement(0, [1], [0]),
@@ -278,6 +319,17 @@ NOT_VALUES = {
     "LiftTrace root mod p only": lambda: LiftTrace(7, (-2, 0, 1), 2, 3),
     "LiftTrace singular root": lambda: LiftTrace(2, (-2, 0, 1), 0, 0),
     "PadicNumber v": lambda: PadicNumber(5, 0, 1, 2),
+    "Valuation float": lambda: Valuation(0.5),
+    "Valuation str": lambda: Valuation("3"),
+    "Valuation bool": lambda: Valuation(True),
+    "GaussianRational float": lambda: GaussianRational(0.5, 0),
+    "GaussianRational str": lambda: GaussianRational("a", 1),
+    "GaussianRational bool": lambda: GaussianRational(0, True),
+    "GaussianMatrix.of float entry": lambda: GaussianMatrix.of([[GaussianRational(0.5, 0)]]),
+    "EulerSeries coefficients": lambda: EulerSeries(3, (1, 2)),
+    "EulerSeries list coefficients": lambda: EulerSeries(1, [1, -1]),
+    "EulerSeries bool order": lambda: EulerSeries(True, (1, -1)),
+    "EulerSeries.up_to float": lambda: EulerSeries.up_to(2.5),
 }
 
 

@@ -27,6 +27,7 @@ from padiclab import (
     ExpansionParseError,
     FqPolynomial,
     GaussianMatrix,
+    GaussianRational,
     PadicNumber,
     PauliElement,
     Place,
@@ -104,7 +105,10 @@ LIBRARY = [
     (lambda: poly_valuation(3, Place.degree_infinity()), DomainError,
      "expected a polynomial or rational function"),
     (lambda: local_norms_ff(FqPolynomial.of(5)), DomainError, "zero is outside the product"),
+    (lambda: Place("bogus"), DomainError, "unknown place kind 'bogus'"),
+    (lambda: FqPolynomial.of(5).leading, DomainError, "zero polynomial has no leading coefficient"),
     # quantum_logic
+    (lambda: GaussianRational(1, 0) / GaussianRational(0, 0), DomainError, "division by zero"),
     (lambda: GaussianMatrix(2, 1, (1,), (0,)), DomainError, "square and nonempty"),
     (lambda: PauliElement(0, (1,), ()), DomainError, "equal positive length"),
     (lambda: PauliElement(4, (1,), (0,)), DomainError, "phase must be an int reduced mod 4"),

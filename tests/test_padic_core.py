@@ -1178,3 +1178,13 @@ def test_star_import_exports_the_public_names_and_no_submodule():
     assert {"PadicNumber", "encode", "DomainError", "ARCHIMEDEAN"} <= exported
     assert not {"errors", "hensel", "padic_core", "valuations_product"} & exported
     assert not [name for name in exported if type(namespace[name]) is type(padiclab)]
+
+
+@pytest.mark.parametrize(
+    "x, text",
+    [(PadicNumber.zero(5, 3), "PadicNumber(p=5, 0, r=3)"),
+     (PadicNumber.from_integer(50, 5, 3), "PadicNumber(p=5, v=2, unit=[2, 0, 0])")],
+    ids=["zero", "nonzero"],
+)
+def test_repr_shows_a_zero_by_its_precision_and_a_unit_by_its_digits(x, text):
+    assert repr(x) == text

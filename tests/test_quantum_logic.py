@@ -67,6 +67,34 @@ def test_gaussian_rational_field_ops():
     assert str(w) == "i"
 
 
+def test_gaussian_rational_sum_negation_and_ints():
+    z, w = GaussianRational(3, -4), GaussianRational(Fraction(1, 2), 1)
+    assert z + w == GaussianRational(Fraction(7, 2), -3) and z + -z == GaussianRational(0, 0)
+    assert -w == GaussianRational(Fraction(-1, 2), -1)
+    # int parts divide exactly: 1/2, not 0.5
+    half = GaussianRational(1, 0) / GaussianRational(2, 0)
+    assert half == GaussianRational(Fraction(1, 2), 0) and isinstance(half.re, Fraction)
+
+
+@pytest.mark.parametrize(
+    "re, im, text",
+    [(Fraction(-1, 2), 0, "-1/2"), (3, 0, "3"), (0, -1, "-i"), (0, Fraction(4, 5), "4/5i"),
+     (3, -2, "3-2i"), (-1, 2, "-1+2i"), (3, 1, "3+i"),
+     (Fraction(3, 5), Fraction(-4, 5), "3/5-4/5i")],
+)
+def test_gaussian_rational_text(re, im, text):
+    assert str(GaussianRational(re, im)) == text
+
+
+@pytest.mark.parametrize(
+    "build, holds",
+    [(pentagon_lattice, False), (diamond_lattice, True), (lambda: boolean_lattice(2), True)],
+)
+def test_a_law_check_is_true_exactly_when_the_law_holds(build, holds):
+    check = is_modular(build())
+    assert bool(check) is check.holds is holds
+
+
 def test_gaussian_matrix_mul_identity():
     m = GaussianMatrix.of([[1, 2], [3, 4]])
     assert m @ GaussianMatrix.identity(2) == m
