@@ -48,7 +48,8 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .errors import DomainError, PadiclabError, ResourceLimitError, max_str_digits, quoted
+from .errors import (DomainError, PadiclabError, ResourceLimitError, max_str_digits,
+                     printable_bound, quoted)
 from .hensel import hensel_lift, sqrt_padic
 from .hensel_codes import HenselCode, code_add, code_div, code_mul, code_sub, decode, encode
 from .padic_core import (
@@ -82,7 +83,9 @@ from .quantum_logic import (
     subspace_lattice,
 )
 from .resurgence import (
+    DEFAULT_TOL,
     MAX_SERIES_ORDER,
+    WORKING_DPS,
     borel_sum,
     euler_partial_sums,
     euler_series_partial,
@@ -102,8 +105,6 @@ _RESIDUAL_TOL = "1e-16"
 #: samples**2 * ((degree + 1)**2 + _SEMINORM_PAIR) units (see ``_check_seminorm_work``).
 _SEMINORM_WORK = 250_000
 _SEMINORM_PAIR = 8
-#: CPython converts an int of at most max_str_digits() decimal digits to or from text.
-_PRINTABLE = 10 ** max_str_digits()
 #: parse_polynomial builds a dense coefficient list up to the largest exponent.
 _MAX_EXPONENT = 10**4
 #: hensel prints x_0, ..., x_k: at most this many residue digits in all.
@@ -249,15 +250,15 @@ def _val_json(v):
 
 
 def _fmt(x, digits: int = 20) -> str:
-    with mp.workdps(40):
+    with mp.workdps(WORKING_DPS):
         return mp.nstr(mp.mpf(x), digits)
 
 
 def _check_printable(p: int, e: int) -> None:
     """Refuse, before any work, a result whose integers (all below p**e) CPython won't print."""
-    p, e = abs(p), max(e, 0)
+    p, e, bound = abs(p), max(e, 0), printable_bound()
     # p**e >= 2**(e * (bits - 1)), so the first test keeps p**e itself small
-    if e * (p.bit_length() - 1) >= _PRINTABLE.bit_length() or p**e > _PRINTABLE:
+    if e * (p.bit_length() - 1) >= bound.bit_length() or p**e > bound:
         raise ResourceLimitError(
             f"p**e exceeds {max_str_digits()} decimal digits, p = {quoted(p)}, e = {quoted(e)}"
         )
@@ -620,6 +621,10 @@ class _Parser(argparse.ArgumentParser):
             setattr(namespace, key, value)
         return namespace, extras
 
+    def print_help(self, file=None):
+        """argparse's help, written so that a failed write reaches ``entry``."""
+        (file or sys.stdout).write(self.format_help())
+
 
 @functools.cache
 def _parser_tree() -> argparse.ArgumentParser:
@@ -709,7 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
 #: call: dest -> (variable, conversion, fallback).
 _ENV_DEFAULTS = {
     "r": ("PADICLAB_PRECISION", int, 8),
-    "tol": ("PADICLAB_TOLERANCE", str, "1e-10"),
+    "tol": ("PADICLAB_TOLERANCE", str, DEFAULT_TOL),
 }
 
 

@@ -6,6 +6,7 @@ machine-parsable reason. ``DomainError`` maps to exit status 1,
 """
 
 import sys
+from functools import lru_cache
 
 #: Longest part of an input string that an error message quotes.
 _QUOTE_CHARS = 40
@@ -16,9 +17,19 @@ def max_str_digits() -> int:
     return min(getattr(sys, "get_int_max_str_digits", int)() or 4300, 4300)  # 0: no limit
 
 
+@lru_cache(maxsize=8)
+def _power_of_ten(digits: int) -> int:
+    return 10**digits
+
+
+def printable_bound() -> int:
+    """10**max_str_digits(), read at the active limit: CPython prints an int below it."""
+    return _power_of_ten(max_str_digits())
+
+
 def int_str(n: int) -> str:
     """``str(n)``; an int of over ``max_str_digits()`` digits shows its bit length instead."""
-    if abs(n) >= 10 ** max_str_digits():
+    if abs(n) >= printable_bound():
         return f"{'-' if n < 0 else ''}<int of {n.bit_length()} bits>"
     return str(n)
 

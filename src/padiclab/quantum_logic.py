@@ -53,7 +53,9 @@ class GaussianRational:
 
     @classmethod
     def of(cls, re, im=0) -> "GaussianRational":
-        return cls(Fraction(re), Fraction(im))
+        """re + im*i, each an int or a Fraction as the constructor takes, kept as Fractions."""
+        cls(re, im)  # the constructor's check
+        return _trusted(cls, re=Fraction(re), im=Fraction(im))
 
     @property
     def is_zero(self) -> bool:

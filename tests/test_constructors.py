@@ -326,6 +326,9 @@ NOT_VALUES = {
     "GaussianRational str": lambda: GaussianRational("a", 1),
     "GaussianRational bool": lambda: GaussianRational(0, True),
     "GaussianMatrix.of float entry": lambda: GaussianMatrix.of([[GaussianRational(0.5, 0)]]),
+    "GaussianMatrix.of str": lambda: GaussianMatrix.of([["a"]]),
+    "GaussianMatrix.of float": lambda: GaussianMatrix.of([[0.5]]),
+    "GaussianMatrix.of bool": lambda: GaussianMatrix.of([[True]]),
     "EulerSeries coefficients": lambda: EulerSeries(3, (1, 2)),
     "EulerSeries list coefficients": lambda: EulerSeries(1, [1, -1]),
     "EulerSeries bool order": lambda: EulerSeries(True, (1, -1)),

@@ -31,7 +31,7 @@ from typing import Callable
 import pytest
 
 from padiclab import cli, hensel, padic_core, quantum_logic, resurgence, valuations_product
-from padiclab.errors import ResourceLimitError, max_str_digits
+from padiclab.errors import ResourceLimitError, max_str_digits, printable_bound
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "padiclab"
@@ -89,7 +89,7 @@ GUARDS = (
     ),
     Guard(
         "cli._check_printable", "print", "results below p**e <= 10**4300",
-        lambda: cli._PRINTABLE, 10**4300,
+        printable_bound, 10**4300,
         # 2**14284 < 10**4300 < 2**14285
         run("code", "encode", "2/3", "--p", "2", "--r", "14284"),
         run("code", "encode", "2/3", "--p", "2", "--r", "14285"),
@@ -348,17 +348,38 @@ def test_the_digit_limit_is_the_active_one_capped_at_4300():
     ("code", "encode", "2/3", "--p", "2", "--r", "5000"),
 ])
 def test_the_print_guard_follows_a_lowered_digit_limit(argv):
-    # cli reads the limit into _PRINTABLE at import, so it is imported again under each limit
+    # a cli imported again under the lowered limit reads the same live bound
     before = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(1000)
     try:
         importlib.reload(cli)
-        assert cli._PRINTABLE == 10**1000
+        assert printable_bound() == 10**1000
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = cli.main(list(argv))
     finally:
         sys.set_int_max_str_digits(before)
         importlib.reload(cli)
+    assert (code, out.getvalue()) == (3, "")
+    assert err.getvalue().count("\n") == 1 and "exceeds 1000 decimal digits" in err.getvalue()
+
+
+@pytest.mark.skipif(not INT_DIGIT_CAP, reason="no int <-> str digit limit before Python 3.10.7")
+@pytest.mark.parametrize("argv", [
+    ("hensel", "--poly", "x^2+x+2", "--p", "2", "--x0", "0", "--k", "4000"),
+    ("code", "encode", "2/3", "--p", "2", "--r", "5000"),
+])
+def test_the_print_guard_follows_a_limit_lowered_in_the_running_process(argv):
+    # no reload: the guard reads the limit on every call
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    try:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(list(argv))
+        assert printable_bound() == 10**1000
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert printable_bound() == 10**max_str_digits()
     assert (code, out.getvalue()) == (3, "")
     assert err.getvalue().count("\n") == 1 and "exceeds 1000 decimal digits" in err.getvalue()

@@ -208,8 +208,8 @@ def test_borel_matches_e1_oracle(t):
 
 @pytest.mark.parametrize("t", ["1.0001", "2", "10", "300", "1e4", "1e12", "1e60"])
 def test_e1_oracle_series_branch_matches_mpmath(t):
-    # x = 1/t < 1 takes the power series; the continued fraction needed over
-    # 100000 terms from about t = 300 and raised AccuracyError
+    # x = 1/t < 1 once took a power series of its own; a continued fraction
+    # needed over 100000 terms from about t = 300 and raised AccuracyError
     t0 = time.perf_counter()
     got = exp_e1_oracle(t)
     assert time.perf_counter() - t0 < 0.5
@@ -217,6 +217,30 @@ def test_e1_oracle_series_branch_matches_mpmath(t):
         x = 1 / mp.mpf(t)
         want = mp.exp(x) * mp.e1(x)
         assert abs(got - want) < mp.mpf("1e-38") * want
+
+
+def _exp_e1_reference(t) -> mp.mpf:
+    """exp(x) E1(x) at x = 1/t to 80 digits: mpmath's E1, past x = 2**200 four asymptotic terms."""
+    with mp.workdps(80):
+        x = 1 / (mp.mpf(t.numerator) / t.denominator if isinstance(t, Fraction) else mp.mpf(t))
+        if x > mp.mpf(2) ** 200:
+            return (1 - (1 - (2 - 6 / x) / x) / x) / x
+        return mp.exp(x) * mp.e1(x)
+
+
+@pytest.mark.parametrize(
+    "t", [Fraction(k, 20) for k in range(1, 41)]
+    # x = 1e19 < 2**64 < 1e20, either side of the switch to the asymptotic
+    + ["1e-6", "1e-19", "1e-20", "1e12", "1e60", "1e-9999999"],
+)
+def test_e1_oracle_keeps_working_precision_and_is_fast(t):
+    # the continued fraction this oracle once used was off by 1.0e-37 at t = 1
+    t0 = time.perf_counter()
+    got = exp_e1_oracle(t)
+    assert time.perf_counter() - t0 < 0.05
+    want = _exp_e1_reference(t)
+    with mp.workdps(80):
+        assert abs(got - want) <= mp.mpf("1e-39") * want
 
 
 @pytest.mark.parametrize("t", ORACLE_GRID)
@@ -462,8 +486,7 @@ def test_quadrature_refuses_t_above_its_limit(t):
 def test_quadrature_admits_t_at_its_limit(t):
     result = borel_sum(t)
     assert result.method == "borel(nodes=2048)"
-    # y_B(t) = exp(x) E1(x) at x = 1/t (mpmath's E1: the continued fraction
-    # of exp_e1_oracle does not converge this close to x = 0).  The window
+    # y_B(t) = exp(x) E1(x) at x = 1/t, here mpmath's E1 read directly.  The window
     # w >= -5 starts at u = exp(-5 - e**5) ~ 2.5e-67 and drops about t times
     # that, 2.5e-7 here: an open accuracy item, so only 1e-8 is asserted.
     with mp.workdps(40):
