@@ -75,6 +75,7 @@ from .resurgence import (
     EulerSeries,
     SummationResult,
     borel_sum,
+    borel_with_residual,
     euler_series_partial,
     exp_e1_oracle,
     general_solution,

@@ -87,9 +87,9 @@ from .resurgence import (
     MAX_SERIES_ORDER,
     WORKING_DPS,
     borel_sum,
+    borel_with_residual,
     euler_partial_sums,
     euler_series_partial,
-    general_solution,
     ode_residual,
     optimal_truncation_index,
 )
@@ -100,7 +100,6 @@ from .valuations_product import (
     local_norms_ff,
 )
 
-_RESIDUAL_TOL = "1e-16"
 #: seminorm-check multiplies and adds every ordered sample pair, and costs
 #: samples**2 * ((degree + 1)**2 + _SEMINORM_PAIR) units (see ``_check_seminorm_work``).
 _SEMINORM_WORK = 250_000
@@ -247,11 +246,6 @@ def _rat_pair(q: Fraction) -> dict:
 
 def _val_json(v):
     return "infinity" if v.is_infinite else int(v)
-
-
-def _fmt(x, digits: int = 20) -> str:
-    with mp.workdps(WORKING_DPS):
-        return mp.nstr(mp.mpf(x), digits)
 
 
 def _check_printable(p: int, e: int) -> None:
@@ -473,33 +467,32 @@ def _cmd_borel(args):
         if top is None:
             top = optimal_truncation_index(t, limit=MAX_SERIES_ORDER) + 5
         partials = euler_partial_sums(t, top)
-        borel = borel_sum(t, tol=args.tol)
-        rows = [
-            {"n": n, "partial_sum": _fmt(s), "gap": _fmt(abs(s - borel.value), 8)}
-            for n, s in enumerate(partials)
-        ]
+        value = borel_sum(t, tol=args.tol).value
+        gaps = [abs(s - value) for s in partials]  # subtracted at the caller's mp precision
+        with mp.workdps(WORKING_DPS):  # one context for all 2(N + 1) numbers
+            rows = [
+                {"n": n, "partial_sum": mp.nstr(s, 20), "gap": mp.nstr(gap, 8)}
+                for n, (s, gap) in enumerate(zip(partials, gaps))
+            ]
         text = "\n".join(f"{row['n']}\t{row['partial_sum']}\t{row['gap']}" for row in rows)
         return {"t": t, "method": "partial_sums_table", "rows": rows}, text
     if args.order is not None:
-        fn = lambda s, tol: euler_series_partial(s, args.order)
-    elif args.a is not None:
-        fn = lambda s, tol: general_solution(s, args.a, tol)
+        result = euler_series_partial(t, args.order)
+        residual = ode_residual(lambda s: euler_series_partial(s, args.order).value, t)
     else:
-        fn = borel_sum
-    result = fn(t, args.tol)
-    residual = ode_residual(lambda s: fn(s, _RESIDUAL_TOL).value, t)
+        result, residual = borel_with_residual(t, args.tol, args.a)
+    with mp.workdps(WORKING_DPS):
+        value = mp.nstr(result.value, 20)
+        error = mp.nstr(result.error_estimate, 8)
+        residual = mp.nstr(residual, 8)
     payload = {
         "t": t,
         "method": result.method,
-        "value": _fmt(result.value),
-        "error_estimate": _fmt(result.error_estimate, 8),
-        "residual": _fmt(residual, 8),
+        "value": value,
+        "error_estimate": error,
+        "residual": residual,
     }
-    text = (
-        f"y({t}) = {_fmt(result.value)}  [{result.method}, "
-        f"error_estimate {_fmt(result.error_estimate, 8)}, "
-        f"ode_residual {_fmt(residual, 8)}]"
-    )
+    text = f"y({t}) = {value}  [{result.method}, error_estimate {error}, ode_residual {residual}]"
     return payload, text
 
 

@@ -137,10 +137,19 @@ class GaussianMatrix:
             if isinstance(v, GaussianRational):
                 return v
             if isinstance(v, tuple):
+                if len(v) not in (1, 2):
+                    raise DomainError(f"an entry tuple is (re,) or (re, im), got {len(v)} parts")
                 return GaussianRational.of(*v)
             return GaussianRational.of(v)
 
-        rows = [[lift(v) for v in row] for row in entries]
+        def each(x):
+            try:
+                return iter(x)
+            except TypeError:
+                raise DomainError(
+                    f"a matrix is rows of entries, got {type(x).__name__}") from None
+
+        rows = [[lift(v) for v in each(row)] for row in each(entries)]
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise DomainError("matrix must be square and nonempty")
@@ -299,16 +308,28 @@ def _mask(bits: tuple[int, ...]) -> int:
     return mask
 
 
+def _word(g: PauliElement) -> tuple[int, int, int]:
+    """g packed as (phase, x-mask, z-mask), qubit 0 the most significant bit."""
+    return g.phase, _mask(g.xbits), _mask(g.zbits)
+
+
+def _word_mul(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The symplectic product of two packed words."""
+    (pa, xa, za), (pb, xb, zb) = a, b
+    # moving each right-hand X past a left-hand Z costs a factor -1
+    return (pa + pb + 2 * (za & xb).bit_count()) % 4, xa ^ xb, za ^ zb
+
+
 def pauli_mul(x: PauliElement, y: PauliElement) -> PauliElement:
     """Symplectic product; agrees entrywise with the matrix product."""
     if x.n != y.n:
         raise DomainError(f"mixed qubit counts {x.n} and {y.n}")
-    # moving each right-hand X past a left-hand Z costs a factor -1
-    swaps = sum(zl * xr for zl, xr in zip(x.zbits, y.xbits))
+    phase, xmask, zmask = _word_mul(_word(x), _word(y))
+    shifts = range(x.n - 1, -1, -1)
     return _trusted(
-        PauliElement, phase=(x.phase + y.phase + 2 * swaps) % 4,
-        xbits=tuple(a ^ b for a, b in zip(x.xbits, y.xbits)),
-        zbits=tuple(a ^ b for a, b in zip(x.zbits, y.zbits)),
+        PauliElement, phase=phase,
+        xbits=tuple([xmask >> k & 1 for k in shifts]),
+        zbits=tuple([zmask >> k & 1 for k in shifts]),
     )
 
 
@@ -321,25 +342,30 @@ def pauli_generators(n: int) -> list[PauliElement]:
     return gens
 
 
+def _pauli_closure(n: int) -> set[tuple[int, int, int]]:
+    """Every packed word that products of the generators reach from the identity."""
+    gens = [_word(g) for g in pauli_generators(n)]
+    seen = {(0, 0, 0)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for g in gens:
+                w = _word_mul(u, g)
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return seen
+
+
 def pauli_group_order(n: int) -> int:
     """Order of the closure of the generators; equals 4**(n+1)."""
     if n < 1:
         raise DomainError("n must be at least 1")
     if n > 2:
         raise ResourceLimitError("group closure is enumerated only for n in {1, 2}")
-    gens = pauli_generators(n)
-    seen = {PauliElement.identity(n)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for g in gens:
-                w = pauli_mul(u, g)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return len(seen)
+    return len(_pauli_closure(n))
 
 
 def pauli_basis(n: int = 1) -> list[PauliElement]:

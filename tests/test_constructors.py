@@ -311,7 +311,8 @@ def test_every_type_built_trusted_has_a_census_row():
 #: Public constructors given fields of the right kind that break the type's shape or
 #: meaning: a bool or a list for a bit vector, a lift to a non-root or a singular
 #: root, a bare int for a valuation, a float, str or bool for a valuation or a
-#: Gaussian part, and a series that is not the Euler series.
+#: Gaussian part, a matrix entry tuple of neither one nor two parts or a
+#: matrix or row that is not iterable, and a series that is not the Euler series.
 NOT_VALUES = {
     "PauliElement bool bit": lambda: PauliElement(0, (True,), (False,)),
     "PauliElement list bits": lambda: PauliElement(0, [1], [0]),
@@ -329,6 +330,10 @@ NOT_VALUES = {
     "GaussianMatrix.of str": lambda: GaussianMatrix.of([["a"]]),
     "GaussianMatrix.of float": lambda: GaussianMatrix.of([[0.5]]),
     "GaussianMatrix.of bool": lambda: GaussianMatrix.of([[True]]),
+    "GaussianMatrix.of 3-tuple entry": lambda: GaussianMatrix.of([[(1, 2, 3)]]),
+    "GaussianMatrix.of empty tuple entry": lambda: GaussianMatrix.of([[()]]),
+    "GaussianMatrix.of int": lambda: GaussianMatrix.of(5),
+    "GaussianMatrix.of int row": lambda: GaussianMatrix.of([5]),
     "EulerSeries coefficients": lambda: EulerSeries(3, (1, 2)),
     "EulerSeries list coefficients": lambda: EulerSeries(1, [1, -1]),
     "EulerSeries bool order": lambda: EulerSeries(True, (1, -1)),

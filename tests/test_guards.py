@@ -165,7 +165,7 @@ GUARDS = (
         cli=("borel", "--t", "1e-6", "--table"),
     ),
     Guard(
-        "resurgence.borel_sum", "work", "t <= 10**60, where the quadrature converges",
+        "resurgence._point_at", "work", "t <= 10**60, where the quadrature converges",
         lambda: resurgence.MAX_QUADRATURE_T, 10**60,
         lambda: resurgence.borel_sum("1e60"),
         lambda: resurgence.borel_sum("1.000000001e60"),

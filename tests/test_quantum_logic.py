@@ -262,6 +262,46 @@ def test_group_orders():
         pauli_group_order(3)
 
 
+def tuple_pauli_mul(x: PauliElement, y: PauliElement) -> PauliElement:
+    """The product on bit tuples, one qubit at a time: the oracle of the packed words."""
+    swaps = sum(zl * xr for zl, xr in zip(x.zbits, y.xbits))
+    return PauliElement(
+        (x.phase + y.phase + 2 * swaps) % 4,
+        tuple(a ^ b for a, b in zip(x.xbits, y.xbits)),
+        tuple(a ^ b for a, b in zip(x.zbits, y.zbits)),
+    )
+
+
+def element_closure(n: int) -> set[PauliElement]:
+    """The generators' closure over PauliElement values, by the tuple product."""
+    gens = pauli_generators(n)
+    seen = {PauliElement.identity(n)}
+    frontier = list(seen)
+    while frontier:
+        frontier = [w for w in {tuple_pauli_mul(u, g) for u in frontier for g in gens}
+                    if w not in seen]
+        seen.update(frontier)
+    return seen
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_packed_closure_is_the_element_closure(n):
+    want = {quantum_logic._word(g) for g in element_closure(n)}
+    assert quantum_logic._pauli_closure(n) == want
+    assert len(want) == pauli_group_order(n) == 4 ** (n + 1)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_packed_product_is_the_tuple_product_on_every_pair(n):
+    group = [PauliElement(ph, x, z) for ph in range(4)
+             for x in product((0, 1), repeat=n) for z in product((0, 1), repeat=n)]
+    for a, b in product(group, repeat=2):
+        want = tuple_pauli_mul(a, b)
+        assert quantum_logic._word_mul(quantum_logic._word(a), quantum_logic._word(b)) == (
+            quantum_logic._word(want))
+        assert pauli_mul(a, b) == want
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_group_order_needs_a_qubit(n):
     with pytest.raises(DomainError, match="n must be at least 1"):

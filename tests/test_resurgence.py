@@ -7,7 +7,10 @@ the exact symbolic defect of truncated partial sums.
 
 from __future__ import annotations
 
+import io
+import random
 import time
+from contextlib import redirect_stdout
 from fractions import Fraction
 from math import factorial
 
@@ -24,6 +27,7 @@ from padiclab import (
     RationalPolynomial,
     ResourceLimitError,
     borel_sum,
+    borel_with_residual,
     euler_series_partial,
     exp_e1_oracle,
     general_solution,
@@ -31,8 +35,9 @@ from padiclab import (
     optimal_truncation_index,
     truncated_series_defect,
 )
-from padiclab import resurgence
-from padiclab.resurgence import MAX_SERIES_ORDER, euler_partial_sums
+from padiclab import cli, resurgence
+from padiclab.errors import PadiclabError
+from padiclab.resurgence import MAX_SERIES_ORDER, SummationResult, euler_partial_sums
 
 small_t = st.fractions(min_value=Fraction(1, 50), max_value=Fraction(3), max_denominator=100)
 
@@ -304,6 +309,150 @@ def plain_borel_sum(t, tol):
             if prev is not None and max(abs(est - prev), mp.eps * abs(est)) <= tolv * abs(est):
                 return est, n
             prev, n, h, stride = est, 2 * n, h / 2, 2
+
+
+def levelwise_borel_sum(t, tol):
+    """borel_sum as one level loop that builds each level's estimate and runs its test in mpf.
+
+    The node sums are the same exact ints; the one difference from a loop that
+    reads abs(est - prev) after prev has become est is the failure's
+    ``achieved``, here the last two levels' difference.
+    """
+    with mp.workdps(resurgence.WORKING_DPS):
+        tv = resurgence._require_positive(t)
+        if tv > resurgence.MAX_QUADRATURE_T:
+            raise ResourceLimitError(f"t = {resurgence.quoted(t)} exceeds the quadrature limit 1e60")
+        tolv = resurgence._to_mp(tol)
+        x = 1 / tv
+        k = max(0, mp.frexp(x)[1])
+        s, shift = int(mp.ldexp(x, 400 - k)), 140 + k
+
+        def node_sum(parts):
+            return sum([(p << 140) // (s + (u >> k)) for p, u in parts])
+
+        ends = node_sum(resurgence._node_parts(0))
+        n, h = 16, 2 * mp.mpf(5) / 16
+        total, prev, last = 0, None, None
+        for key in range(1, 15):
+            total += node_sum(resurgence._node_parts(key))
+            est = h * mp.ldexp(ends + 2 * total, -shift - 1)
+            if prev is not None:
+                certifiable = max(abs(est - prev), mp.eps * abs(est))
+                if certifiable <= tolv * abs(est):
+                    return SummationResult(est, f"borel(nodes={n})", certifiable)
+                if abs(est - prev) <= 4 * mp.eps * abs(est):
+                    raise AccuracyError(
+                        f"tol={tol} is below the working precision at dps=40", achieved=certifiable)
+            last, prev, n, h = prev, est, 2 * n, h / 2
+        raise AccuracyError(f"quadrature did not reach tol={tol} within {n // 2} nodes",
+                            achieved=abs(est - last))
+
+
+def outcome(f, *args):
+    """What a call returns, or the type, message and ``achieved`` of what it raises."""
+    try:
+        return f(*args)
+    except PadiclabError as exc:
+        return type(exc), str(exc), getattr(exc, "achieved", None)
+
+
+def sampled_borel_requests(count, seed):
+    rng = random.Random(seed)
+    return [(f"{10 ** rng.uniform(-6, 60):.6e}", f"{10 ** rng.uniform(-18, -6):.3e}")
+            for _ in range(count)]
+
+
+#: tol below the working precision, or of no use: a parse error, none, negative, nan, inf
+EDGE_TOLS = ["1e-38", "1e-41", "2.29588740394978028900143854926219858949e-41", "1e-50",
+             "xyz", "0", "-1", "nan", "10", "inf", Fraction(1, 10**60)]
+DEMO_T = ["1/10", "1/2", "1"]
+
+
+def test_borel_sum_is_the_levelwise_loop_bit_for_bit(monkeypatch):
+    # a node table as deep as the last level: every level's nodes are computed once
+    monkeypatch.setattr(resurgence, "TABLE_NODES", 16 << 13)
+    monkeypatch.setattr(resurgence, "_NODE_TABLE", {})
+    cases = sampled_borel_requests(40, seed=2005)
+    cases += [(t, tol) for t in DEMO_T for tol in ("1e-6", "1e-10", "1e-16", "1e-18")]
+    cases += [(t, tol) for t in ("1/2", "3", "1e-6") for tol in EDGE_TOLS]
+    cases += [("1e61", "1e-10"), ("0", "1e-10"), ("abc", "1e-10"), ("1e-5", "1e-30")]
+    for t, tol in cases:
+        assert outcome(borel_sum, t, tol) == outcome(levelwise_borel_sum, t, tol), (t, tol)
+
+
+@pytest.mark.parametrize("t, tol", [("1e52", "1e-10"), ("3e54", "1e-16")])
+def test_borel_sum_is_the_levelwise_loop_past_the_node_table(t, tol):
+    # a deep level is computed node by node and streamed past each point
+    want = levelwise_borel_sum(t, tol)
+    assert int(want.method.removeprefix("borel(nodes=").removesuffix(")")) > resurgence.TABLE_NODES
+    assert borel_sum(t, tol) == want
+
+
+def test_a_level_pass_that_never_converges_reports_its_last_difference(monkeypatch):
+    # stand-in node parts whose estimates swing by a quarter at every level
+    def parts(key):
+        one = 1 << 400
+        return ((one, one),) * (2 if key == 0 else 7 * key % 5 + 1)
+
+    monkeypatch.setattr(resurgence, "_node_parts", parts)
+    got = outcome(borel_sum, "1/2", "1e-10")
+    assert got == outcome(levelwise_borel_sum, "1/2", "1e-10")
+    assert got[:2] == (AccuracyError, "quadrature did not reach tol=1e-10 within 131072 nodes")
+    assert got[2] > 0
+
+
+def cli_composition(t, tol, a):
+    """The value and residual as the CLI composes them from the public functions."""
+    y = borel_sum if a is None else (lambda s, tol: general_solution(s, a, tol))
+    result = y(t, tol)
+    return result, ode_residual(lambda s: y(s, "1e-16").value, t)
+
+
+@pytest.mark.parametrize("a", [None, "0", "1", "-5/2"])
+def test_one_pass_gives_the_composed_value_and_residual(a):
+    cases = [(t, tol) for t in DEMO_T + ["3", "1e-3", "2e-4", "1e3", "1e12", "1e40"]
+             for tol in ("1e-10", "1e-16")]
+    cases += [(t, "1e-10") for t, _ in sampled_borel_requests(6, seed=7) if float(t) < 1e50]
+    # errors before, inside and after the first quadrature, in the composed order
+    cases += [("1/2", tol) for tol in ("1e-50", "xyz", "-1")]
+    cases += [("5e-5", "1e-10"), ("5e-5", "1e-50"), ("1.000005e-4", "1e-10"), ("1e-7", "1e-10"),
+              ("0", "1e-10"), ("1e61", "1e-10"), ("abc", "1e-10")]
+    for t, tol in cases:
+        assert outcome(borel_with_residual, t, tol, a) == outcome(cli_composition, t, tol, a), (
+            t, tol)
+
+
+def run_cli(*argv):
+    with redirect_stdout(io.StringIO()):
+        return cli.main(list(argv))
+
+
+@pytest.mark.parametrize("argv", [("borel", "--t", "1/2"), ("borel", "--t", "1/2", "--a", "1")])
+def test_a_plain_or_general_borel_request_runs_one_pass(monkeypatch, argv):
+    passes = []
+    one_pass = resurgence._borel_pass
+    monkeypatch.setattr(resurgence, "_borel_pass", lambda reqs: passes.append(len(reqs))
+                        or one_pass(reqs))
+    assert run_cli(*argv) == 0
+    assert passes == [4]
+
+
+def test_a_deep_level_node_is_computed_once_per_request(monkeypatch):
+    run_cli("borel", "--t", "1e52", "--tol", "1e-10")  # levels up to TABLE_NODES are kept
+    with mp.workdps(40):
+        t, h = mp.mpf("1e52"), mp.mpf("1e-4")
+        points = [("1e52", "1e-10"), (t - h, "1e-16"), (t, "1e-16"), (t + h, "1e-16")]
+    nodes = [int(borel_sum(s, tol).method.removeprefix("borel(nodes=").removesuffix(")"))
+             for s, tol in points]
+    deep = max(nodes) - resurgence.TABLE_NODES  # the new nodes of the levels past the table
+    assert deep > 0
+    calls = []
+    node_part = resurgence._node_part
+    monkeypatch.setattr(resurgence, "_node_part", lambda w: calls.append(w) or node_part(w))
+    assert run_cli("borel", "--t", "1e52", "--tol", "1e-10") == 0
+    assert len(calls) == len(set(calls)) == deep
+    # where one pass per point computed them for each: sum(n - TABLE_NODES) nodes
+    assert sum(n - resurgence.TABLE_NODES for n in nodes) == 4 * deep
 
 
 @pytest.mark.parametrize("table_nodes", [resurgence.TABLE_NODES, 32])
